@@ -20,6 +20,16 @@ from repro.fuzz.prog import Call, Program, Res
 from repro.sched.executor import ExecutionResult, Executor
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Publish ``text`` at ``path`` whole: a temp file in the same
+    directory renamed over it, so a reader sees no file, the old one or
+    the new one, never a prefix."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
+
+
 # -- program (de)serialisation --------------------------------------------------
 
 

@@ -6,14 +6,19 @@ classify pairs with differing projected values as PMCs.  Each PMC maps
 to the (writer test, reader test) pairs that exhibit it — the raw
 material for concurrent test generation.
 
+The scan hands out key groups
+(:meth:`~repro.pmc.index.AccessIndex.overlap_groups_since`): one new
+access against every holder of one access key on the other side.  A
+PMC is a (write key, read key) pair, so projection, comparison and the
+PMC are computed once per group and only the test pairs per holder.
+
 Identification is *incremental*: :func:`identify_delta` folds a batch
 of newly profiled tests into an existing :class:`PmcSet` by scanning
-only the overlaps that involve at least one new access
-(:meth:`~repro.pmc.index.AccessIndex.read_write_overlaps_since`).  The
-batch :func:`identify_pmcs` is the degenerate one-round case — an empty
-index plus one delta — so the two paths cannot drift; a property test
-pins that any split of the profiles into deltas yields the same PmcSet
-as the one-shot identification.
+only the overlaps that involve at least one new access.  The batch
+:func:`identify_pmcs` is the degenerate one-round case — an empty index
+plus one delta — so the two paths cannot drift; a property test pins
+that any split of the profiles into deltas yields the same PmcSet as
+the one-shot identification.
 """
 
 from __future__ import annotations
@@ -122,7 +127,8 @@ def identify_delta(
     The union over any sequence of deltas equals the one-shot
     :func:`identify_pmcs` over the concatenated profiles: each
     overlapping (read, write) pair is scanned exactly once, in the delta
-    where its later access arrived, and classification is per-pair.
+    where its later access arrived.  Pairs are formed in the flattened
+    scan's order, so the result is the per-overlap loop's exactly.
     """
     store = getattr(index, "store", None)
     tier_before = dict(store.stats) if store is not None else None
@@ -137,32 +143,31 @@ def identify_delta(
         new_pairs = 0
         delta_overlaps = 0
 
-        for overlap in index.read_write_overlaps_since(mark):
-            delta_overlaps += 1
-            read, write = overlap.read, overlap.write
-            read_value = project_value(
-                read.addr, read.size, read.value, overlap.lo, overlap.hi
-            )
-            write_value = project_value(
-                write.addr, write.size, write.value, overlap.lo, overlap.hi
-            )
-            if read_value == write_value:
+        for writes, reads, lo, hi in index.overlap_groups_since(mark):
+            delta_overlaps += len(writes) * len(reads)
+            write, read = writes[0][0], reads[0][0]
+            write_value = project_value(write.addr, write.size, write.value, lo, hi)
+            if project_value(read.addr, read.size, read.value, lo, hi) == write_value:
                 continue
-            pmc = PMC(
-                write=AccessKey.of(write),
-                read=AccessKey.of(read),
-                df_leader=read.df_leader,
-            )
-            pair = (overlap.write_test, overlap.read_test)
-            holders = seen_pairs.setdefault(pmc, set())
-            if pair not in holders:
-                holders.add(pair)
-                if pmc in pmcs:
-                    pmcs[pmc].append(pair)
-                else:
-                    pmcs[pmc] = [pair]
-                    new_pmcs += 1
-                new_pairs += 1
+            write_key, read_key = AccessKey.of(write), AccessKey.of(read)
+            pmc = None
+            for read, read_test, _ in reads:
+                # One PMC per group, except that a new write meeting a
+                # read value group takes df_leader from each read.
+                if pmc is None or read.df_leader != pmc.df_leader:
+                    pmc = PMC(write=write_key, read=read_key, df_leader=read.df_leader)
+                    seen = seen_pairs.setdefault(pmc, set())
+                    pairs = pmcs.get(pmc)
+                for _, write_test, _ in writes:
+                    pair = (write_test, read_test)
+                    if pair not in seen:
+                        seen.add(pair)
+                        if pairs is None:
+                            pairs = pmcs[pmc] = [pair]
+                            new_pmcs += 1
+                        else:
+                            pairs.append(pair)
+                        new_pairs += 1
         pmcset.overlaps_scanned += delta_overlaps
         pmcset.extend_profiles(new_profiles)
         span.set(pmcs=len(pmcs), new_pmcs=new_pmcs, overlaps=delta_overlaps)

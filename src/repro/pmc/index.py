@@ -2,21 +2,22 @@
 
 As in section 4.2.1: the outer index orders accesses by range start
 address; for one start address, a nested index orders them by range
-length; for one range, accesses are indexed by instruction address.
-``read_write_overlaps()`` scans the index and yields every read/write
-pair with intersecting ranges — without the naive quadratic scan over
-all access pairs, because a read only probes the bounded start-address
-window that can still overlap it.
+length and instruction address, then groups equal values.  A probe
+only visits the bounded start-address window that can still overlap
+it, so there is no quadratic scan over all access pairs.
 
-The index is *incremental*: every insert is stamped with a monotone
-sequence number, and ``read_write_overlaps_since(mark)`` yields exactly
-the overlaps involving at least one access inserted at or after
-``mark`` (``mark()`` snapshots the current position).  A continuously
-running campaign (§4.3, §6) profiles new sequential tests round after
-round and re-classifies only the delta instead of rescanning the whole
-corpus; the union of the per-round delta scans provably equals the full
-scan, because each overlapping (read, write) pair is yielded exactly
-once — in the round where its *later* access arrived.
+The scan is *grouped* and *incremental*: every insert is stamped with a
+monotone sequence number, and ``overlap_groups_since(mark)`` yields the
+overlaps involving at least one access inserted at or after ``mark``
+(``mark()`` snapshots the current position) as key groups — one new
+access against one value group of the other side, every holder of one
+(range, instruction, value) key — so Stage 2 classifies a key once, not
+once per holder.  ``read_write_overlaps_since`` and
+``read_write_overlaps()`` flatten the groups into one :class:`Overlap`
+per pair, in the per-overlap order.  The union of the per-round delta
+scans equals the full scan, because each overlapping (read, write) pair
+is yielded exactly once — in the round where its *later* access
+arrived (§4.3, §6: a continuous campaign re-classifies only the delta).
 
 The index is also *tiered* (DESIGN.md §2.14): constructed with a
 ``store=`` (or ``spill_dir=``) it writes every insert through to an
@@ -27,8 +28,8 @@ outer dict (a sentinel preserves outer iteration order — the property
 the golden-equivalence tests pin); a probe of a cold bucket
 reconstructs it by replaying the store's records in seq order, which
 reproduces the exact nested first-occurrence iteration order of the
-in-memory bucket.  A spilled scan therefore yields overlaps in the
-bit-identical order of an unspilled one.
+in-memory bucket.  A spilled scan therefore yields groups and overlaps
+in the bit-identical order of an unspilled one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import bisect
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.profile.profiler import ProfiledAccess
 
@@ -66,6 +67,12 @@ class Overlap:
     hi: int
 
 
+#: One record of a bucket value group: (access, test_id, insertion seq).
+Holder = Tuple[ProfiledAccess, int, int]
+#: ``(writes, reads, lo, hi)``; see :meth:`AccessIndex.overlap_groups_since`.
+OverlapGroup = Tuple[Sequence[Holder], Sequence[Holder], int, int]
+
+
 class _Bucket:
     """All accesses of one kind sharing a start address.
 
@@ -78,9 +85,7 @@ class _Bucket:
 
     def __init__(self):
         # (size, ins) -> {value -> [(access, test_id, seq), ...]}
-        self.entries: Dict[
-            Tuple[int, str], Dict[int, List[Tuple[ProfiledAccess, int, int]]]
-        ] = {}
+        self.entries: Dict[Tuple[int, str], Dict[int, List[Holder]]] = {}
         self.nrecords = 0
 
     def insert(self, access: ProfiledAccess, test_id: int, seq: int) -> None:
@@ -99,7 +104,7 @@ class _Bucket:
             holders.append((access, test_id, seq))
         self.nrecords += 1
 
-    def iter_entries(self) -> Iterator[Tuple[ProfiledAccess, int, int]]:
+    def iter_entries(self) -> Iterator[Holder]:
         for by_value in self.entries.values():
             for holders in by_value.values():
                 yield from holders
@@ -133,10 +138,8 @@ class AccessIndex:
         self.hot_capacity = hot_capacity
         self._writes: Dict[int, object] = {}
         self._reads: Dict[int, object] = {}
-        self._write_starts: List[int] = []
-        self._read_starts: List[int] = []
-        self._starts_dirty = False
-        self._read_starts_dirty = False
+        # is_write -> sorted start addresses, the scan's bisect lists.
+        self._starts: Dict[bool, List[int]] = {True: [], False: []}
         # Monotone insertion stamp: the delta scan's notion of "new".
         self._seq = 0
         # Bumped on every insert; a running overlap scan that observes a
@@ -185,10 +188,6 @@ class AccessIndex:
         bucket = side.get(access.addr)
         if bucket is None:
             bucket = side[access.addr] = _Bucket()
-            if is_write:
-                self._starts_dirty = True
-            else:
-                self._read_starts_dirty = True
             if self.store is not None:
                 self._hot_lru[(is_write, access.addr)] = bucket
         elif bucket is _COLD:
@@ -318,105 +317,84 @@ class AccessIndex:
 
     def read_write_overlaps_since(self, mark: int) -> Iterator[Overlap]:
         """Yield every overlap involving at least one access with
-        insertion stamp ``>= mark``.
+        insertion stamp ``>= mark``, one :class:`Overlap` per pair.
 
-        Two passes: new reads against *all* writes, then new writes
-        against *old* reads only (new-read/new-write pairs were already
-        yielded by the first pass), so each qualifying pair appears
-        exactly once.  With ``mark == 0`` the first pass degenerates to
-        the full scan — in the identical iteration order — and the
-        second pass is skipped entirely.
-
-        The generator snapshots the bisect start lists; an ``insert``
-        while the scan is live would silently probe a stale snapshot, so
-        it is detected via a generation counter and raises
-        ``RuntimeError``, matching dict-iteration semantics.
+        The flattening of :meth:`overlap_groups_since`, in its order.
         """
-        self._refresh_starts()
+        gen = self._generation
+        for writes, reads, lo, hi in self.overlap_groups_since(mark):
+            for write, write_test, _ in writes:
+                for read, read_test, _ in reads:
+                    yield Overlap(write, write_test, read, read_test, lo, hi)
+                    # Resumes only here: catch a consumer's insert at once.
+                    if self._generation != gen:
+                        raise RuntimeError(_MUTATED)
+
+    def overlap_groups_since(self, mark: int) -> Iterator[OverlapGroup]:
+        """The delta overlaps as key groups ``(writes, reads, lo, hi)``.
+
+        One side is a new access, as the 1-tuple of its ``(access,
+        test_id, seq)`` holder; the other is one value group of a bucket
+        (``(size, ins) -> value``): holders sharing one (range,
+        instruction, value) key and so one ``[lo, hi)`` window.  The
+        group's overlaps are the product ``writes x reads``.
+
+        Pass one pairs new reads with *all* writes, pass two new writes
+        with *old* reads only (pass one had the new ones), so each pair
+        appears once; ``mark == 0`` is the full scan and skips pass two.
+        Loops nest new holder, window bucket, slot, value group: the
+        per-overlap scan minus its holder loop, so flattening the groups
+        gives the per-overlap order.  An ``insert`` while the scan is
+        live (its bisect start lists would go stale) raises
+        ``RuntimeError``, like dict iteration.
+        """
         gen = self._generation
         spilled = self.store is not None
         stats = self.store.stats if spilled else None
-        starts = self._write_starts
-        writes = self._writes
-        for read_start, read_bucket in self._reads.items():
-            if read_bucket is _COLD:
-                if self._read_maxseq.get(read_start, -1) < mark:
-                    continue  # zone map: no new reads spilled here
-                stats["cold_probes"] += 1
-                read_bucket = self._cold_bucket(False, read_start)
-            for read, read_test, read_seq in read_bucket.iter_entries():
-                if read_seq < mark:
-                    continue
-                lo_bound = read.addr - MAX_ACCESS_SIZE + 1
-                first = bisect.bisect_left(starts, lo_bound)
-                last = bisect.bisect_left(starts, read.end)
-                for i in range(first, last):
-                    write_bucket = writes[starts[i]]
-                    if spilled:
-                        if write_bucket is _COLD:
-                            stats["cold_probes"] += 1
-                            write_bucket = self._cold_bucket(True, starts[i])
-                        else:
-                            stats["hot_hits"] += 1
-                    for write, write_test, _ in write_bucket.iter_entries():
-                        lo = max(write.addr, read.addr)
-                        hi = min(write.end, read.end)
-                        if lo < hi:
-                            yield Overlap(
-                                write=write,
-                                write_test=write_test,
-                                read=read,
-                                read_test=read_test,
-                                lo=lo,
-                                hi=hi,
-                            )
-                            # The generator only resumes here (or at the
-                            # second pass's yield), so this is the one
-                            # place a consumer's insert can first be
-                            # seen — before it corrupts the scan.
-                            if self._generation != gen:
-                                raise RuntimeError(_MUTATED)
-        if mark <= 0:
-            return
-        self._refresh_read_starts()
-        rstarts = self._read_starts
-        reads = self._reads
-        for write_start, write_bucket in self._writes.items():
-            if write_bucket is _COLD:
-                if self._write_maxseq.get(write_start, -1) < mark:
-                    continue  # zone map: no new writes spilled here
-                stats["cold_probes"] += 1
-                write_bucket = self._cold_bucket(True, write_start)
-            for write, write_test, write_seq in write_bucket.iter_entries():
-                if write_seq < mark:
-                    continue
-                lo_bound = write.addr - MAX_ACCESS_SIZE + 1
-                first = bisect.bisect_left(rstarts, lo_bound)
-                last = bisect.bisect_left(rstarts, write.end)
-                for i in range(first, last):
-                    read_bucket = reads[rstarts[i]]
-                    if spilled:
-                        if read_bucket is _COLD:
-                            stats["cold_probes"] += 1
-                            read_bucket = self._cold_bucket(False, rstarts[i])
-                        else:
-                            stats["hot_hits"] += 1
-                    for read, read_test, read_seq in read_bucket.iter_entries():
-                        if read_seq >= mark:
-                            continue  # already paired in the first pass
-                        lo = max(write.addr, read.addr)
-                        hi = min(write.end, read.end)
-                        if lo < hi:
-                            yield Overlap(
-                                write=write,
-                                write_test=write_test,
-                                read=read,
-                                read_test=read_test,
-                                lo=lo,
-                                hi=hi,
-                            )
-                            if self._generation != gen:
-                                raise RuntimeError(_MUTATED)
+        passes = [(False, self._reads, self._writes, self._read_maxseq)]
+        if mark > 0:
+            passes.append((True, self._writes, self._reads, self._write_maxseq))
+        for new_writes, new_side, others, maxseq in passes:
+            starts = self._sorted_starts(not new_writes)
+            for new_start, bucket in new_side.items():
+                if bucket is _COLD:
+                    if maxseq.get(new_start, -1) < mark:
+                        continue  # zone map: no new records spilled here
+                    stats["cold_probes"] += 1
+                    bucket = self._cold_bucket(new_writes, new_start)
+                for holder in bucket.iter_entries():
+                    if holder[2] < mark:
+                        continue
+                    access = holder[0]
+                    new = (holder,)
+                    first = bisect.bisect_left(starts, access.addr - MAX_ACCESS_SIZE + 1)
+                    last = bisect.bisect_left(starts, access.end)
+                    for start in starts[first:last]:
+                        other = others[start]
+                        if spilled:
+                            if other is _COLD:
+                                stats["cold_probes"] += 1
+                                other = self._cold_bucket(not new_writes, start)
+                            else:
+                                stats["hot_hits"] += 1
+                        for (size, _ins), by_value in other.entries.items():
+                            lo = max(access.addr, start)
+                            hi = min(access.end, start + size)
+                            if lo >= hi:
+                                continue
+                            for holders in by_value.values():
+                                if not new_writes:
+                                    yield holders, new, lo, hi
+                                else:
+                                    if holders[-1][2] >= mark:
+                                        # Seq-ordered: the new reads are a
+                                        # suffix, paired by the first pass.
+                                        holders = [h for h in holders if h[2] < mark]
+                                        if not holders:
+                                            continue
+                                    yield new, holders, lo, hi
+                                if self._generation != gen:
+                                    raise RuntimeError(_MUTATED)
 
     # -- stats -------------------------------------------------------------------
 
@@ -435,12 +413,12 @@ class AccessIndex:
             return total, total
         return self._hot_records, total
 
-    def _refresh_starts(self) -> None:
-        if self._starts_dirty or len(self._write_starts) != len(self._writes):
-            self._write_starts = sorted(self._writes)
-            self._starts_dirty = False
-
-    def _refresh_read_starts(self) -> None:
-        if self._read_starts_dirty or len(self._read_starts) != len(self._reads):
-            self._read_starts = sorted(self._reads)
-            self._read_starts_dirty = False
+    def _sorted_starts(self, is_write: bool) -> List[int]:
+        """One side's start addresses, sorted again only when it gained
+        one: keys are never removed (eviction leaves a sentinel), so an
+        unchanged length means an unchanged key set."""
+        side = self._writes if is_write else self._reads
+        starts = self._starts[is_write]
+        if len(starts) != len(side):
+            starts = self._starts[is_write] = sorted(side)
+        return starts

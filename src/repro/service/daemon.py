@@ -48,6 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs import JsonlSink
+from repro.orchestrate.persistence import write_atomic
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -495,8 +496,7 @@ class ServiceDaemon:
         )
         self.host, self.port = self._httpd.server_address[:2]
         self.endpoint_path = os.path.join(self.service.registry.root, "endpoint")
-        with open(self.endpoint_path, "w", encoding="utf-8") as handle:
-            handle.write(f"{self.host}:{self.port}\n")
+        write_atomic(self.endpoint_path, f"{self.host}:{self.port}\n")
         self._stop = threading.Event()
 
     @property

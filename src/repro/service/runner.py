@@ -30,6 +30,7 @@ import os
 from typing import Dict, Optional
 
 from repro.obs import JsonlSink, Observer, TeeSink, read_trace
+from repro.orchestrate.persistence import write_atomic
 from repro.orchestrate.pipeline import Snowboard
 from repro.orchestrate.results import CampaignResult
 from repro.service.jobs import CampaignJob
@@ -122,10 +123,10 @@ class JobRunner:
 
     def _finalize(self, snowboard: Snowboard, result: CampaignResult) -> None:
         """Persist the terminal artifacts a tenant fetches later."""
-        summary_path = self.registry.summary_path(self.job.job_id)
-        with open(summary_path, "w", encoding="utf-8") as handle:
-            json.dump(result.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_atomic(
+            self.registry.summary_path(self.job.job_id),
+            json.dumps(result.summary(), indent=2, sort_keys=True) + "\n",
+        )
         packages_dir = self.registry.packages_dir(self.job.job_id)
         os.makedirs(packages_dir, exist_ok=True)
         for bug_id, package in snowboard.repro_packages.items():

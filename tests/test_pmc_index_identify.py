@@ -1,14 +1,16 @@
 """Tests for the access index and Algorithm 1 (PMC identification),
 including their incremental (delta) forms."""
 
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz.prog import Program
-from repro.machine.accesses import AccessType
+from repro.machine.accesses import AccessType, project_value
 from repro.pmc.identify import PmcSet, identify_delta, identify_pmcs
-from repro.pmc.index import MAX_ACCESS_SIZE, AccessIndex
+from repro.pmc.index import MAX_ACCESS_SIZE, AccessIndex, Overlap
 from repro.pmc.model import PMC, AccessKey
 from repro.profile.profiler import ProfiledAccess, TestProfile
 
@@ -108,7 +110,7 @@ def test_property_index_matches_naive_quadratic_scan(writes, reads):
 
 class TestAccessIndexIncremental:
     """Inserts interleaved with scans: the delta contract and the
-    start-address caches behind ``_refresh_starts``."""
+    start-address caches behind ``_sorted_starts``."""
 
     def test_scan_between_inserts_sees_later_inserts(self):
         index = AccessIndex()
@@ -275,6 +277,19 @@ class TestMutationDuringScan:
         index.insert(pa("W", 0x104, 4, 6, "w:3"), test_id=3)
         with pytest.raises(RuntimeError, match="index mutated during overlap scan"):
             list(scan)
+
+    @pytest.mark.parametrize("scan", ["read_write_overlaps_since", "overlap_groups_since"])
+    @pytest.mark.parametrize("mark_at_start", [True, False], ids=["full", "delta"])
+    def test_insert_mid_scan_raises_for_both_generators(self, scan, mark_at_start):
+        index = self._index()
+        mark = 0 if mark_at_start else index.mark()
+        if not mark_at_start:
+            index.insert(pa("W", 0x102, 4, 5, "w:2"), test_id=2)
+        live = getattr(index, scan)(mark)
+        next(live)
+        index.insert(pa("R", 0x100, 4, 9, "r:new"), test_id=3)
+        with pytest.raises(RuntimeError, match="index mutated during overlap scan"):
+            list(live)
 
     def test_exhausted_scan_then_insert_is_fine(self):
         index = self._index()
@@ -477,6 +492,239 @@ def test_property_identify_delta_over_any_split_equals_one_shot(tests, cuts):
     assert [p.test_id for p in incremental.profiles] == [
         p.test_id for p in one_shot.profiles
     ]
+
+
+class NaiveOrderedIndex:
+    """The per-overlap scan order, written out naively.
+
+    Reads in first-insertion order of their start address, each start's
+    records in nested first-occurrence order ((size, ins), then value,
+    then insertion), each against every write start in ascending order;
+    then, for a delta, new writes against old reads the same way.
+    Quadratic, and independent of AccessIndex's buckets, bisect window
+    and spill tier."""
+
+    def __init__(self):
+        self.records = []
+
+    def mark(self):
+        return len(self.records)
+
+    def insert_profile(self, prof):
+        for access in prof.accesses:
+            self.records.append((access, prof.test_id, len(self.records)))
+
+    def _by_start(self, is_write):
+        by_start = {}
+        for record in self.records:
+            if record[0].is_write == is_write:
+                by_start.setdefault(record[0].addr, []).append(record)
+        return {start: self._nested(records) for start, records in by_start.items()}
+
+    @staticmethod
+    def _nested(records):
+        slots = {}
+        for record in records:
+            access = record[0]
+            slot = slots.setdefault((access.size, access.ins), {})
+            slot.setdefault(access.value, []).append(record)
+        return [r for by_value in slots.values() for rs in by_value.values() for r in rs]
+
+    def read_write_overlaps_since(self, mark):
+        reads, writes = self._by_start(False), self._by_start(True)
+        passes = [(reads, writes, False)] + ([(writes, reads, True)] if mark > 0 else [])
+        for new_side, other_side, new_writes in passes:
+            for records in new_side.values():
+                for new in (r for r in records if r[2] >= mark):
+                    for start in sorted(other_side):
+                        for other in other_side[start]:
+                            if new_writes and other[2] >= mark:
+                                continue  # paired in the first pass
+                            write, read = (new, other) if new_writes else (other, new)
+                            lo = max(write[0].addr, read[0].addr)
+                            hi = min(write[0].end, read[0].end)
+                            if lo < hi:
+                                yield Overlap(write[0], write[1], read[0], read[1], lo, hi)
+
+
+def reference_identify_delta(pmcset, index, new_profiles):
+    """The per-overlap classification loop: one projection, one PMC and
+    one dedup lookup per overlap.  The exact-order reference for
+    identify_delta, which classifies once per key group."""
+    mark = index.mark()
+    for prof in new_profiles:
+        index.insert_profile(prof)
+    new_pmcs = new_pairs = 0
+    for overlap in index.read_write_overlaps_since(mark):
+        pmcset.overlaps_scanned += 1
+        read, write = overlap.read, overlap.write
+        lo, hi = overlap.lo, overlap.hi
+        if project_value(read.addr, read.size, read.value, lo, hi) == project_value(
+            write.addr, write.size, write.value, lo, hi
+        ):
+            continue
+        pmc = PMC(write=AccessKey.of(write), read=AccessKey.of(read), df_leader=read.df_leader)
+        pair = (overlap.write_test, overlap.read_test)
+        holders = pmcset._seen_pairs.setdefault(pmc, set())
+        if pair not in holders:
+            holders.add(pair)
+            if pmc in pmcset.pmcs:
+                pmcset.pmcs[pmc].append(pair)
+            else:
+                pmcset.pmcs[pmc] = [pair]
+                new_pmcs += 1
+            new_pairs += 1
+    pmcset.extend_profiles(new_profiles)
+    return new_pmcs, new_pairs
+
+
+def _keyed_access_strategy():
+    """Few addresses, instructions and values, so value groups hold many
+    tests; reads carry a random df_leader, so one read value group can
+    mix both annotations."""
+    return st.tuples(
+        st.booleans(),  # is_write
+        st.integers(min_value=0, max_value=24),  # addr
+        st.sampled_from([1, 2, 4, 8]),  # size
+        st.integers(min_value=0, max_value=1),  # value
+        st.integers(min_value=0, max_value=1),  # ins tag
+        st.booleans(),  # df_leader (reads only)
+    )
+
+
+@pytest.mark.parametrize("hot_capacity", [None, 3], ids=["in-memory", "spilled"])
+@given(
+    tests=st.lists(st.lists(_keyed_access_strategy(), max_size=6), max_size=10),
+    cuts=st.lists(st.integers(min_value=0, max_value=10), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_grouped_identify_matches_per_overlap_reference(hot_capacity, tests, cuts):
+    """Over any split into deltas, the grouped identify_delta builds the
+    PmcSet of the per-overlap reference exactly: the same PMC insertion
+    order, the same pair-list order per PMC, the same overlaps_scanned
+    and the same (new_pmcs, new_pairs) per delta, whether the index is
+    in memory or spilled with a hot tier of a few records.  Each delta's
+    flattened scan also yields the naive per-overlap order."""
+    profiles = [
+        profile(
+            tid,
+            *(
+                pa(
+                    "W" if w else "R",
+                    addr,
+                    size,
+                    value,
+                    f"{'w' if w else 'r'}:{tag}",
+                    df=df and not w,
+                )
+                for (w, addr, size, value, tag, df) in accesses
+            ),
+        )
+        for tid, accesses in enumerate(tests)
+    ]
+    bounds = sorted(min(c, len(profiles)) for c in cuts) + [len(profiles)]
+    chunks = [profiles[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+
+    expected, naive = PmcSet(), NaiveOrderedIndex()
+    grouped = PmcSet()
+    with tempfile.TemporaryDirectory() as spill:
+        index = (
+            AccessIndex()
+            if hot_capacity is None
+            else AccessIndex(spill_dir=spill, hot_capacity=hot_capacity)
+        )
+        for chunk in chunks:
+            mark = index.mark()
+            want = reference_identify_delta(expected, naive, chunk)
+            assert identify_delta(grouped, index, chunk) == want
+            index.flush()  # as the pipeline does after each delta
+            assert list(index.read_write_overlaps_since(mark)) == list(
+                naive.read_write_overlaps_since(mark)
+            )
+        if index.store is not None:
+            index.store.close()
+    assert list(grouped.pmcs.items()) == list(expected.pmcs.items())
+    assert grouped.overlaps_scanned == expected.overlaps_scanned
+
+
+def test_read_value_group_mixing_df_leader_splits_the_pmc():
+    """A new write meeting an old read value group whose holders differ
+    only in df_leader: each holder's pair goes to its own PMC, in holder
+    order, exactly as the per-overlap loop classifies them."""
+    reads = [
+        profile(0, pa("R", 0x100, 8, 0, "r:1", df=False)),
+        profile(1, pa("R", 0x100, 8, 0, "r:1", df=True)),
+        profile(2, pa("R", 0x100, 8, 0, "r:1", df=False)),
+    ]
+    write = [profile(3, pa("W", 0x100, 8, 1, "w:1"))]
+    grouped, index = PmcSet(), AccessIndex()
+    identify_delta(grouped, index, reads)
+    assert identify_delta(grouped, index, write) == (2, 3)
+    expected, naive = PmcSet(), NaiveOrderedIndex()
+    reference_identify_delta(expected, naive, reads)
+    reference_identify_delta(expected, naive, write)
+    assert list(grouped.pmcs.items()) == list(expected.pmcs.items())
+    assert [(pmc.df_leader, pairs) for pmc, pairs in grouped.pmcs.items()] == [
+        (False, [(3, 0), (3, 2)]),
+        (True, [(3, 1)]),
+    ]
+
+
+def test_pmc_missing_from_dedup_sets_is_appended_not_replaced():
+    """A PmcSet whose ``pmcs`` holds a PMC its dedup sets lack (built by
+    hand, not by identify) keeps that PMC's pairs and appends to them."""
+    pmc = PMC(write=AccessKey(0x100, 8, "w:1", 1), read=AccessKey(0x100, 8, "r:1", 0))
+    pmcset = PmcSet(pmcs={pmc: [(7, 8)]})
+    index = AccessIndex()
+    identify_delta(
+        pmcset,
+        index,
+        [profile(0, pa("W", 0x100, 8, 1, "w:1")), profile(1, pa("R", 0x100, 8, 0, "r:1"))],
+    )
+    assert pmcset.pmcs == {pmc: [(7, 8), (0, 1)]}
+
+
+class TestOverlapGroups:
+    def test_groups_flatten_to_the_overlap_scan(self):
+        index = AccessIndex()
+        for tid in range(3):
+            index.insert(pa("W", 0x100, 8, 1, "w:1"), test_id=tid)
+        index.insert(pa("W", 0x104, 4, 2, "w:2"), test_id=3)
+        index.insert(pa("R", 0x102, 4, 0, "r:1"), test_id=4)
+        index.insert(pa("R", 0x102, 4, 0, "r:1", df=True), test_id=5)
+        groups = list(index.overlap_groups_since(0))
+        flat = [
+            (w, wt, r, rt, lo, hi)
+            for writes, reads, lo, hi in groups
+            for w, wt, _ in writes
+            for r, rt, _ in reads
+        ]
+        assert flat == [
+            (o.write, o.write_test, o.read, o.read_test, o.lo, o.hi)
+            for o in index.read_write_overlaps()
+        ]
+        # One group per (new read, write value group): the three
+        # identical w:1 holders fold into one.
+        assert [(len(writes), len(reads)) for writes, reads, _, _ in groups] == [
+            (3, 1),
+            (1, 1),
+            (3, 1),
+            (1, 1),
+        ]
+
+    def test_pass_two_groups_hold_old_reads_only(self):
+        index = AccessIndex()
+        index.insert(pa("R", 0x100, 8, 0, "r:1"), test_id=0)
+        mark = index.mark()
+        index.insert(pa("R", 0x100, 8, 0, "r:1"), test_id=1)  # same group, new
+        index.insert(pa("W", 0x100, 8, 1, "w:1"), test_id=2)
+        groups = [
+            ([wt for _, wt, _ in writes], [rt for _, rt, _ in reads], lo, hi)
+            for writes, reads, lo, hi in index.overlap_groups_since(mark)
+        ]
+        # Pass 1: the new read against the write; pass 2: the new write
+        # against the old read only.
+        assert groups == [([2], [1], 0x100, 0x108), ([2], [0], 0x100, 0x108)]
 
 
 class TestIdentifyPmcs:

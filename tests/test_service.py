@@ -20,6 +20,7 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
 
@@ -554,3 +555,72 @@ class TestRegistry:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         with pytest.raises(RegistryError, match="digest"):
             JobRegistry(root)
+
+
+class TestAtomicPublish:
+    """Files a client polls for appear whole or not at all.
+
+    A spy on ``open`` records, at every write-mode open in the watched
+    directory, what a reader of the published file would get at that
+    instant: the window in which a plain ``open(path, "w")`` leaves an
+    empty file behind (``ServiceClientError: malformed endpoint ''``, or
+    a summary that fails to parse)."""
+
+    @staticmethod
+    def spy(monkeypatch, directory, published):
+        real_open = builtins.open
+        seen = []
+
+        def spying_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if (
+                "w" in mode
+                and isinstance(file, (str, os.PathLike))
+                and os.path.dirname(os.path.abspath(file)) == os.path.abspath(directory)
+            ):
+                if os.path.exists(published):
+                    with real_open(published, encoding="utf-8") as reader:
+                        seen.append(reader.read())
+                else:
+                    seen.append(None)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", spying_open)
+        return seen
+
+    def test_daemon_endpoint_file(self, tmp_path, monkeypatch):
+        from repro.service.daemon import ServiceDaemon
+
+        data = str(tmp_path / "svc")
+        os.makedirs(data)
+        endpoint = os.path.join(data, "endpoint")
+        seen = self.spy(monkeypatch, data, endpoint)
+        daemon = ServiceDaemon(data)
+        try:
+            with open(endpoint, encoding="utf-8") as handle:
+                assert handle.read() == f"{daemon.host}:{daemon.port}\n"
+            assert seen and all(text is None for text in seen)
+        finally:
+            daemon._httpd.server_close()
+            daemon.service.stop()
+
+    def test_finalized_summary_file(self, tmp_path, monkeypatch):
+        registry = JobRegistry(str(tmp_path / "svc"))
+        job = registry.submit("alice", JobSpec.from_obj(dict(BASE)))
+        summary_path = registry.summary_path(job.job_id)
+        seen = self.spy(monkeypatch, registry.job_dir(job.job_id), summary_path)
+
+        class Result:
+            def summary(self):
+                return {"bugs": ["SB01"], "tests": 5}
+
+        class Finished:
+            repro_packages = {}
+
+        try:
+            JobRunner(job, registry)._finalize(Finished(), Result())
+            with open(summary_path, encoding="utf-8") as handle:
+                assert json.load(handle) == {"bugs": ["SB01"], "tests": 5}
+            assert seen and all(text is None for text in seen)
+        finally:
+            registry.close()
