@@ -167,7 +167,7 @@ def test_per_trial_reset_speedup(snowboard, benchmark):
 
 
 def test_parallel_campaign_matches_serial(snowboard, benchmark):
-    """Stage 4 over the work queue: same seed, same bug set as serial."""
+    """Stage 4 on a process fleet: same seed, same bug set as serial."""
     budget = 12
     serial = snowboard.run_campaign("S-INS-PAIR", test_budget=budget)
     parallel = benchmark.pedantic(

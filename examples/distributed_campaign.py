@@ -25,9 +25,10 @@ import sys
 
 from repro import Snowboard, SnowboardConfig
 from repro.detect.catalog import match_observations
-from repro.orchestrate.fleet import ProcessFleet, TaskEnvelope, WorkerSpec
+from repro.orchestrate.fleet import FleetCoordinator, TaskEnvelope, WorkerSpec
 from repro.orchestrate.pipeline import Stage4Task
 from repro.orchestrate.queue import TaskFailure
+from repro.orchestrate.transport import MultiprocessingTransport
 
 TRIALS = 12
 BUDGET = 12
@@ -56,7 +57,8 @@ def main() -> None:
     )
 
     print(f"\n== dispatch to {nworkers} worker processes ==")
-    fleet = ProcessFleet(WorkerSpec(config=config), nworkers=nworkers)
+    spec = WorkerSpec(config=config)
+    fleet = FleetCoordinator(MultiprocessingTransport(spec), nworkers=nworkers)
     results = fleet.run(envelopes)
     for stats in fleet.worker_stats:
         print(
@@ -71,7 +73,7 @@ def main() -> None:
         if isinstance(result, TaskFailure):
             print(f"  task {task_id}: FAILED ({result.message})")
             continue
-        outcomes, _ = result.decode()
+        outcomes, _, _ = result.decode()
         for outcome in outcomes:
             all_obs.extend(outcome.observations)
     grouped = match_observations(all_obs)

@@ -25,15 +25,16 @@
 #  2. tier-1 -O  — the same suite under `python -O`, which strips every
 #                  `assert` statement from the *source tree*.  Pass 2
 #                  exists to catch code that leans on asserts for control
-#                  flow or invariant enforcement — e.g. the old
-#                  `assert task_id == index` in execute_tests_parallel,
-#                  which under -O silently mis-seeded every task from a
-#                  pre-seeded queue.  Test-module asserts are also
+#                  flow or invariant enforcement — e.g. an old
+#                  `assert task_id == index` on the Stage-4 dispatch
+#                  path, which under -O silently mis-seeded every task
+#                  from a pre-seeded queue.  Test-module asserts are also
 #                  stripped in pass 2 (pytest warns about this), so it
 #                  only detects crashes/exceptions; pass 1 remains the
 #                  source of truth for behavioural assertions.
-#  3. smoke      — one tiny parallel campaign through the installed CLI
-#                  (`python -m repro`) with --checkpoint and --trace-out,
+#  3. smoke      — one tiny 2-worker campaign through the installed CLI
+#                  (`python -m repro`; --workers 2 without --fleet runs
+#                  the process fleet) with --checkpoint and --trace-out,
 #                  then `repro stats` over the trace.  Artifacts land in
 #                  $ARTIFACTS_DIR (default: artifacts/) for CI upload.
 #  4. smoke-inc  — kill-and-resume smoke for the round-based engine
@@ -125,7 +126,7 @@ if [[ "$LEG" == "tests" || "$LEG" == "all" ]]; then
 fi
 
 if [[ "$LEG" == "smokes" || "$LEG" == "all" ]]; then
-    echo "== smoke: parallel campaign through the CLI =="
+    echo "== smoke: 2-worker process-fleet campaign through the CLI =="
     SMOKE_TRACE="$ARTIFACTS_DIR/smoke_trace.jsonl"
     SMOKE_CHECKPOINT="$ARTIFACTS_DIR/smoke_checkpoint.jsonl"
     rm -f "$SMOKE_TRACE" "$SMOKE_CHECKPOINT"

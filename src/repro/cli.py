@@ -20,7 +20,9 @@ from typing import List, Optional
 
 from repro.detect.catalog import BUG_CATALOG, spec_by_id
 from repro.orchestrate.pipeline import (
+    ALL_METHODS,
     DUPLICATE_PAIRING,
+    FLEET_KINDS,
     RANDOM_PAIRING,
     RANDOM_S_INS_PAIR,
     Snowboard,
@@ -28,12 +30,6 @@ from repro.orchestrate.pipeline import (
 )
 from repro.orchestrate.results import TABLE3_HEADER
 from repro.pmc.clustering import ALL_STRATEGIES
-
-ALL_METHODS = tuple(s.name for s in ALL_STRATEGIES) + (
-    RANDOM_S_INS_PAIR,
-    RANDOM_PAIRING,
-    DUPLICATE_PAIRING,
-)
 
 CASES = ("l2tp", "mac", "rhashtable")
 
@@ -55,17 +51,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="Stage-4 worker count (>1 runs the work-queue fleet; "
+        help="Stage-4 worker count (>1 runs a worker fleet; "
         "same bug set as serial for the same seed)",
     )
     campaign.add_argument(
         "--fleet",
-        choices=("threads", "processes", "sockets"),
-        default="threads",
-        help="worker substrate for --workers > 1: in-process threads, "
-        "spawned worker processes behind the picklable wire format, or "
-        "socket workers speaking the same envelopes as length-prefixed "
-        "JSON frames over TCP (bit-identical results in every case)",
+        choices=FLEET_KINDS,
+        default=None,
+        help="fleet for --workers > 1: spawned worker processes behind "
+        "the picklable wire format (the default), or socket workers "
+        "speaking the same envelopes as length-prefixed JSON frames over "
+        "TCP (bit-identical results in every case)",
     )
     campaign.add_argument(
         "--fleet-listen",
@@ -275,7 +271,7 @@ def _cmd_campaign(args) -> int:
     if args.checkpoint_fsync and not args.checkpoint:
         print("error: --checkpoint-fsync requires --checkpoint", file=sys.stderr)
         return 2
-    if args.fleet in ("processes", "sockets") and args.workers <= 1:
+    if args.fleet is not None and args.workers <= 1:
         print(
             f"error: --fleet {args.fleet} requires --workers > 1 "
             "(one worker runs the serial path)",

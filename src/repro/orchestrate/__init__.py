@@ -9,7 +9,6 @@ shape of the paper's Tables 2 and 3.
 from repro.orchestrate.fleet import (
     WIRE_VERSION,
     FleetFault,
-    ProcessFleet,
     ResultEnvelope,
     TaskEnvelope,
     WireFormatError,
@@ -24,35 +23,24 @@ from repro.orchestrate.pipeline import (
     build_scheduler,
     run_task_trials,
 )
-from repro.orchestrate.queue import (
-    TIMED_OUT,
-    Task,
-    TaskFailure,
-    WorkQueue,
-    run_workers,
-)
+from repro.orchestrate.queue import TaskFailure
 from repro.orchestrate.results import CampaignResult, ObservationRecord
 
 __all__ = [
     "ConcurrentTest",
     "FleetFault",
-    "ProcessFleet",
     "ResultEnvelope",
     "Snowboard",
     "SnowboardConfig",
     "Stage4Task",
     "TaskEnvelope",
     "TrialOutcome",
-    "TIMED_OUT",
-    "Task",
     "TaskFailure",
     "WIRE_VERSION",
     "WireFormatError",
-    "WorkQueue",
     "WorkerSpec",
     "build_scheduler",
     "run_task_trials",
-    "run_workers",
     "CampaignResult",
     "ObservationRecord",
 ]

@@ -52,9 +52,9 @@ lease protocol.  The fault model:
   so callers always get one result per task: no hang, no missing key.
 
 Determinism contract: schedulers are seeded ``config.seed + task_id``
-and the coordinator merges results in task order, so a re-run after any
-of the faults above — or a whole campaign under ``--fleet processes`` or
-``--fleet sockets`` — is bit-identical to serial and to thread workers.
+and the campaign merges results in task order, so a re-run after any of
+the faults above — or a whole campaign under ``--fleet processes`` or
+``--fleet sockets`` — is bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ from repro.pmc.model import AccessKey, PMC
 #: obs buffer prelude (the prefix-recording span).
 #: v3: heartbeat liveness (``HeartbeatEnvelope``/``HelloEnvelope``),
 #: spawn ``generation`` stamped on results, socket transport framing.
-WIRE_VERSION = 3
+#: v4: results carry the trial plan's ``pruned`` count.
+WIRE_VERSION = 4
 
 
 class WireFormatError(ValueError):
@@ -240,7 +241,8 @@ class ResultEnvelope:
     handed at boot/handshake; the coordinator discards results whose
     generation no longer matches the slot (a reclaimed predecessor
     reporting late).  ``-1`` means "unstamped" — accepted for
-    compatibility with hand-built envelopes in tests.
+    compatibility with hand-built envelopes in tests.  ``pruned`` is the
+    number of budgeted trials the task's commuting-schedule plan skipped.
     """
 
     task_id: int
@@ -254,11 +256,13 @@ class ResultEnvelope:
     message: str = ""
     traceback_str: str = ""
     generation: int = -1
+    pruned: int = 0
     version: int = WIRE_VERSION
 
     def decode(self):
-        """Return ``(outcomes, obs_buffer)``; buffer is None when tracing
-        was off in the worker."""
+        """Return ``(outcomes, obs_buffer, pruned)``, the shape
+        ``run_task_trials`` returns; the buffer is None when tracing was
+        off in the worker."""
         _check_version(self.version, f"result envelope {self.task_id}")
         outcomes = [outcome_from_obj(o) for o in self.outcomes]
         buffer = None
@@ -268,7 +272,7 @@ class ResultEnvelope:
                 "trials": [list(chunk) for chunk in self.obs_trials],
                 "tail": list(self.obs_tail),
             }
-        return outcomes, buffer
+        return outcomes, buffer, self.pruned
 
 
 @dataclass(frozen=True)
@@ -402,7 +406,7 @@ def _execute_envelope(
             kind=task.scheduler_kind,
             universe=envelope.universe_pmcs(),
         )
-        outcomes, buffer = run_task_trials(
+        outcomes, buffer, pruned = run_task_trials(
             executor,
             task,
             scheduler,
@@ -429,6 +433,7 @@ def _execute_envelope(
         ),
         obs_tail=tuple(buffer["tail"]) if buffer else (),
         generation=generation,
+        pruned=pruned,
     )
 
 
@@ -531,8 +536,7 @@ class FleetCoordinator:
     heartbeat protocol described in the module docstring, and returns
     one result — a :class:`ResultEnvelope` or a :class:`TaskFailure` —
     per envelope.  Per-worker health counters are left in
-    :attr:`worker_stats`, in the same shape the thread fleet leaves on
-    its ``WorkQueue``.
+    :attr:`worker_stats`.
 
     The coordinator never looks at a process handle: everything it knows
     about a worker arrives as a message (hello, heartbeat, result, boot
@@ -607,8 +611,7 @@ class FleetCoordinator:
         """One worker died (missed heartbeat, boot failure, or expired
         lease): reclaim its lease, charge a respawn, restart or retire it.
 
-        Mirrors the thread fleet's ``BaseException`` semantics: the
-        reclaimed task consumes one retry; when the worker's respawn
+        The reclaimed task consumes one retry; when the worker's respawn
         budget is exhausted its leased task fails with it.  Before
         reclaiming, the results channel is drained — a final result the
         worker managed to queue before dying wins the race and its task
@@ -779,7 +782,7 @@ class FleetCoordinator:
     def _drain_exhausted(self, expected: Sequence[int]) -> None:
         """Pool exhaustion: every worker is dead for good.  Record a
         TaskFailure for every unfinished task, chaining the last worker
-        error as the cause (the thread fleet's drain, ported)."""
+        error as the cause."""
         boot_error = next(
             (
                 str(slot.stats.last_error)
@@ -841,8 +844,7 @@ class FleetCoordinator:
         finally:
             self.transport.close()
         if self.obs.enabled:
-            # One health event per worker, in worker-id order — the same
-            # records the thread fleet emits, so traces stay comparable.
+            # One health event per worker, in worker-id order.
             for slot in self._slots:
                 stats = slot.stats
                 self.obs.event(
@@ -855,40 +857,3 @@ class FleetCoordinator:
                     failed=stats.failed,
                 )
         return self._results
-
-
-class ProcessFleet(FleetCoordinator):
-    """The classic multi-process fleet: :class:`FleetCoordinator` over a
-    :class:`~repro.orchestrate.transport.MultiprocessingTransport`.
-
-    Kept as the stable constructor for local process workers (the shape
-    PR 6 introduced); the coordinator logic itself is transport-blind.
-    """
-
-    def __init__(
-        self,
-        spec: WorkerSpec,
-        nworkers: int = 2,
-        max_task_retries: int = 0,
-        max_worker_respawns: int = 2,
-        lease_timeout: float = 120.0,
-        heartbeat_timeout: float = 10.0,
-        boot_grace: float = 60.0,
-        poll_interval: float = 0.02,
-        start_method: str = "spawn",
-        obs=NULL_OBSERVER,
-    ):
-        from repro.orchestrate.transport import MultiprocessingTransport
-
-        self.spec = spec
-        super().__init__(
-            MultiprocessingTransport(spec, start_method=start_method),
-            nworkers=nworkers,
-            max_task_retries=max_task_retries,
-            max_worker_respawns=max_worker_respawns,
-            lease_timeout=lease_timeout,
-            heartbeat_timeout=heartbeat_timeout,
-            boot_grace=boot_grace,
-            poll_interval=poll_interval,
-            obs=obs,
-        )

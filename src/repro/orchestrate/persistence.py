@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.fuzz.prog import Call, Program, Res
 from repro.sched.executor import ExecutionResult, Executor
@@ -261,9 +261,6 @@ def record_digest(obj: Dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-# Historical internal name, kept for the call sites below.
-_task_digest = record_digest
-
 
 class CheckpointWriter:
     """Appends one journal record per merged Stage-4 task.
@@ -271,7 +268,8 @@ class CheckpointWriter:
     Records are flushed line by line, so a campaign killed mid-flight
     leaves a valid journal prefix behind (a torn final line is discarded
     on load).  Construct with :meth:`create` (fresh journal, truncates)
-    or :meth:`append_to` (resume an existing one).
+    or :meth:`append_to` (resume an existing one whose torn tail, if
+    any, was already cut off).
 
     Durability levels: the default ``flush()`` survives a *process* kill
     (the bytes are in OS buffers) but not a machine crash; ``fsync=True``
@@ -331,7 +329,7 @@ class CheckpointWriter:
         task ids, and must fail loudly instead.
         """
         obj = {"kind": "round", **info.to_obj()}
-        obj["digest"] = _task_digest(obj)
+        obj["digest"] = record_digest(obj)
         self._write(obj)
 
     def task_done(self, task_id: int, merged: bool = True) -> None:
@@ -355,7 +353,7 @@ class CheckpointWriter:
                 for bug_id in new_package_ids
             },
         }
-        obj["digest"] = _task_digest(obj)
+        obj["digest"] = record_digest(obj)
         self._write(obj)
 
     def close(self) -> None:
@@ -365,65 +363,69 @@ class CheckpointWriter:
         self._handle.close()
 
 
-def load_checkpoint(path: str) -> Tuple[Dict, List[Dict]]:
-    """Read a journal: (header, task records in journal order).
+class Journal(NamedTuple):
+    """One scan of a campaign journal (see :func:`read_journal`)."""
 
-    A torn final line (the campaign died mid-write) is discarded; a task
-    record whose digest does not match its contents raises — the journal
-    was corrupted rather than truncated.
+    header: Dict
+    tasks: List[Dict]  # task records, in journal order
+    rounds: Dict[int, Dict]  # round-boundary records by round number
+    valid_bytes: int  # length of the whole-record prefix
+
+
+def read_journal(path: str) -> Journal:
+    """Read a campaign journal in one scan.
+
+    A line without its trailing newline is a torn tail (the campaign
+    died mid-write) and ends the scan, as does a line that does not
+    parse; ``valid_bytes`` is the length of the prefix before it, which
+    a resuming writer truncates to.  A record whose digest does not
+    match its contents raises — the journal was corrupted rather than
+    truncated.  Batch journals have no round records.
     """
     header: Optional[Dict] = None
     tasks: List[Dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail: keep the valid prefix
-            if obj.get("kind") == "header":
-                header = obj
-            elif obj.get("kind") == "task":
-                digest = obj.pop("digest", None)
-                if digest != _task_digest(obj):
-                    raise CheckpointMismatch(
-                        f"checkpoint {path!r}: task {obj.get('task_id')} "
-                        f"record failed its digest check"
-                    )
-                tasks.append(obj)
+    rounds: Dict[int, Dict] = {}
+    valid = 0
+    with open(path, "rb") as handle:
+        for raw in handle:
+            if not raw.endswith(b"\n"):
+                break
+            line = raw.strip()
+            if line:
+                try:
+                    obj = json.loads(line)
+                except ValueError:  # not JSON, or not UTF-8
+                    break
+                kind = obj.get("kind")
+                if kind == "header":
+                    header = obj
+                elif kind in ("task", "round"):
+                    digest = obj.pop("digest", None)
+                    if digest != record_digest(obj):
+                        number = obj.get("task_id" if kind == "task" else "round")
+                        raise CheckpointMismatch(
+                            f"checkpoint {path!r}: {kind} {number} "
+                            f"record failed its digest check"
+                        )
+                    if kind == "task":
+                        tasks.append(obj)
+                    else:
+                        rounds[int(obj["round"])] = obj
+            valid += len(raw)
     if header is None:
         raise CheckpointMismatch(f"checkpoint {path!r} has no header record")
-    return header, tasks
+    return Journal(header, tasks, rounds, valid)
+
+
+def load_checkpoint(path: str) -> Tuple[Dict, List[Dict]]:
+    """Read a journal: (header, task records in journal order)."""
+    journal = read_journal(path)
+    return journal.header, journal.tasks
 
 
 def load_round_records(path: str) -> Dict[int, Dict]:
-    """Read a journal's round-boundary records, keyed by round number.
-
-    Same torn-tail/digest rules as :func:`load_checkpoint`; journals
-    written by batch campaigns simply have none.
-    """
-    rounds: Dict[int, Dict] = {}
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail: keep the valid prefix
-            if obj.get("kind") != "round":
-                continue
-            digest = obj.pop("digest", None)
-            if digest != _task_digest(obj):
-                raise CheckpointMismatch(
-                    f"checkpoint {path!r}: round {obj.get('round')} "
-                    f"record failed its digest check"
-                )
-            rounds[int(obj["round"])] = obj
-    return rounds
+    """Read a journal's round-boundary records, keyed by round number."""
+    return read_journal(path).rounds
 
 
 def verify_round_record(stored: Dict, info) -> None:

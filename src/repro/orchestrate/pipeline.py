@@ -24,7 +24,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.detect.datarace import RaceDetector
 from repro.detect.report import observe
@@ -33,7 +33,6 @@ from repro.fuzz.prog import Program
 from repro.kernel.kernel import boot_kernel
 from repro.obs import NULL_OBSERVER, buffering_observer
 from repro.orchestrate.campaign import CampaignState, RoundInfo, selection_rng
-from repro.orchestrate.queue import TaskFailure, WorkQueue, run_workers
 from repro.orchestrate.results import CampaignResult
 from repro.pmc.clustering import STRATEGIES_BY_NAME
 from repro.pmc.identify import PmcSet, identify_delta
@@ -50,6 +49,20 @@ from repro.sched.snowboard import SnowboardScheduler, channel_exercised
 RANDOM_PAIRING = "Random pairing"
 DUPLICATE_PAIRING = "Duplicate pairing"
 RANDOM_S_INS_PAIR = "Random S-INS-PAIR"
+
+#: Every test-generation method a campaign accepts: the Table 1
+#: clustering strategies, then the Table 3 baselines.
+ALL_METHODS = tuple(STRATEGIES_BY_NAME) + (
+    RANDOM_S_INS_PAIR,
+    RANDOM_PAIRING,
+    DUPLICATE_PAIRING,
+)
+
+#: Stage-4 scheduler kinds (:func:`build_scheduler`).
+SCHEDULER_KINDS = ("snowboard", "ski", "random")
+
+#: Stage-4 fleet kinds for ``workers > 1``; the first is the default.
+FLEET_KINDS = ("processes", "sockets")
 
 
 def derive_initial_state(kernel, snapshot, setup_program: Program):
@@ -167,11 +180,10 @@ class ConcurrentTest:
 
 @dataclass(frozen=True)
 class Stage4Task:
-    """One parallel Stage-4 work item: run all trials of one test.
+    """One Stage-4 work item: run the trials of one test.
 
     ``task_id`` doubles as the test's position in the campaign, so the
-    scheduler seed (``config.seed + task_id``) matches the serial path's
-    ``config.seed + tested_pmcs`` exactly.
+    scheduler seed is ``config.seed + task_id`` wherever the task runs.
     """
 
     task_id: int
@@ -202,7 +214,7 @@ class TrialOutcome:
     console: Tuple[str, ...] = ()
     panic_message: str = ""
     # True when the trial was served from already-cached prefix state
-    # (counted as ``stage4.prefix_fork_hits`` at the merge sites).
+    # (counted as ``stage4.prefix_fork_hits`` by the merge).
     forked: bool = False
 
 
@@ -227,6 +239,8 @@ def build_scheduler(
     instance; ``universe`` is the incidental-adoption PMC list the
     coordinator precomputed (``None`` when adoption is off).
     """
+    if kind not in SCHEDULER_KINDS:
+        raise ValueError(f"unknown scheduler kind {kind!r}")
     if test.pmc is None or kind == "random":
         return RandomScheduler(seed=seed)
     if kind == "ski":
@@ -244,32 +258,37 @@ def run_task_trials(
     task: Stage4Task,
     scheduler,
     obs_epoch: Optional[float] = None,
-) -> Tuple[List[TrialOutcome], Optional[Dict]]:
-    """Run every trial of one Stage-4 task on a private executor.
+    seen_keys: Optional[AbstractSet] = None,
+) -> Tuple[List[TrialOutcome], Optional[Dict], int]:
+    """Run the trials of one Stage-4 task on ``executor``.
 
-    The single worker body shared by the thread fleet and the process
-    fleet — both execute exactly this code, which is what makes
-    ``--fleet processes`` bit-identical to threads and to serial.
+    The one trial loop: inline dispatch (:meth:`Snowboard.execute_test`)
+    runs it on the campaign executor, and every fleet worker runs it on a
+    private one, so where a task runs never changes what it finds.
 
-    Unlike the serial path, a worker cannot stop at the first fresh
-    observation — freshness is campaign-global, and the campaign state
-    lives with the merger.  It therefore runs the full trial budget and
-    lets the merge discard trials past the point where the serial
-    campaign would have stopped.
+    ``seen_keys`` is the campaign's observation dedup set at dispatch.
+    When given, the loop stops after the first trial that shows a key
+    outside it, which is the trial where the merge stops the test:
+    inline dispatch follows every earlier merge, so its set is exact.
+    Fleet workers pass ``None`` and run the whole plan, because keys
+    found by other tasks after dispatch are unknown to them; the merge
+    discards their trials past its stop.
 
-    When ``obs_epoch`` is given, worker-side tracing buffers into a
-    private MemorySink sharing the campaign tracer's epoch; the returned
-    buffer (``{"prelude": [pre-trial events], "trials": [per-trial event
-    slices], "tail": [...]}``) is replayed by the merger in task order.
-    Funnel counters are NOT incremented here — counting happens only at
-    the merge sites, on exactly the merged trials.
+    When ``obs_epoch`` is given, tracing buffers into a private MemorySink
+    sharing the campaign tracer's epoch; the returned buffer
+    (``{"prelude": [pre-trial events], "trials": [per-trial event
+    slices], "tail": [...]}``) is replayed by the merge in task order.
+    Funnel counters are NOT incremented here — the merge counts them, on
+    exactly the merged trials.
 
-    Returns ``(outcomes, buffer)``; ``buffer`` is ``None`` when tracing
-    is off.
+    Returns ``(outcomes, buffer, pruned)``: ``buffer`` is ``None`` when
+    tracing is off, and ``pruned`` counts the budgeted trials the
+    commuting-schedule plan skipped.
     """
     test = task.test
     sink = None
     obs = NULL_OBSERVER
+    executor_obs = executor.obs
     if obs_epoch is not None:
         obs, sink = buffering_observer(obs_epoch)
         executor.obs = obs
@@ -294,7 +313,7 @@ def run_task_trials(
             if memo.active:
                 with obs.span("stage4.prefix_record", test=task.task_id):
                     memo.prepare()
-            effective, _ = memo.plan_trials(task.trials)
+            effective, pruned = memo.plan_trials(task.trials)
             # Everything emitted before the first trial (the recording
             # span) goes into the buffer's prelude so per-trial slices
             # keep their alignment for the merger's replay.
@@ -340,19 +359,23 @@ def run_task_trials(
                         )
                 if sink is not None:
                     slices.append(sink.events[mark:])
+                if seen_keys is not None and any(
+                    o.key not in seen_keys for o in observations
+                ):
+                    break
             if sink is not None:
                 test_span.set(exercised=exercised, **scheduler_stats(scheduler))
     finally:
-        if sink is not None:
-            executor.obs = NULL_OBSERVER
+        executor.obs = executor_obs
     if sink is None:
-        return outcomes, None
+        return outcomes, None, pruned
     consumed = prelude + sum(len(chunk) for chunk in slices)
-    return outcomes, {
+    buffer = {
         "prelude": sink.events[:prelude],
         "trials": slices,
         "tail": sink.events[consumed:],
     }
+    return outcomes, buffer, pruned
 
 
 class Snowboard:
@@ -376,10 +399,7 @@ class Snowboard:
         # history, watermarks); created by prepare(), advanced per round.
         self.state: Optional[CampaignState] = None
         self._pair_index: Optional[Dict[Tuple[int, int], List[PMC]]] = None
-        # Per-task worker event buffers (task_id -> {"trials": [...], "tail":
-        # [...]}), replayed into the campaign trace in task order at merge.
-        self._stage4_buffers: Dict[int, Dict] = {}
-        # Test-only fault injection shipped to process-fleet workers (a
+        # Test-only fault injection shipped to fleet workers (a
         # repro.orchestrate.fleet.FleetFault); None in real campaigns.
         self.fleet_fault = None
         # First reproduction package captured per catalogued bug id.
@@ -497,8 +517,7 @@ class Snowboard:
         """Build the (writer, reader) pair -> PMCs index.
 
         Built eagerly at the end of every ingest (prepare() and each
-        round's delta), so by the time Stage-4 workers spawn the index is
-        complete and worker threads only ever read it through
+        round's delta), so Stage-4 dispatch only ever reads it through
         :meth:`_pmcs_for_pair`.
         """
         if self._pair_index is None:
@@ -615,12 +634,28 @@ class Snowboard:
     def _scheduler_universe(self, test: ConcurrentTest) -> Optional[List[PMC]]:
         """The incidental-adoption PMC universe for one test (or None).
 
-        Precomputed coordinator-side in both fleets: the pair index is
-        built eagerly at ingest, so worker threads only read it, and
-        process workers receive the universe over the wire."""
+        Computed at dispatch: fleet workers have no corpus, so they
+        receive it over the wire."""
         if not self.config.adopt_incidental_pmcs or test.pmc is None:
             return None
         return self._pmcs_for_pair((test.writer_test, test.reader_test))
+
+    def _task(
+        self,
+        task_id: int,
+        test: ConcurrentTest,
+        scheduler_kind: str,
+        trials: Optional[int],
+    ) -> Stage4Task:
+        """One test as a Stage-4 task under this campaign's config."""
+        return Stage4Task(
+            task_id=task_id,
+            test=test,
+            trials=trials or self.config.trials_per_pmc,
+            scheduler_kind=scheduler_kind,
+            prefix_fork=self.config.prefix_fork,
+            prune_commuting=self.config.prune_commuting,
+        )
 
     def execute_test(
         self,
@@ -630,115 +665,31 @@ class Snowboard:
         trials: Optional[int] = None,
         task_id: Optional[int] = None,
     ) -> bool:
-        """Run all trials of one concurrent test; True if a new bug surfaced.
+        """Run one concurrent test inline; True if a new bug surfaced.
+
+        The inline dispatch: :func:`run_task_trials` on the campaign
+        executor, handed the campaign's dedup keys so it stops where the
+        merge stops, then the same :meth:`_merge_task_outcomes` a fleet
+        task's result goes through.
 
         ``task_id`` pins the test's campaign position (seed and recorded
         ``test_index``) explicitly — required when resuming a checkpointed
         campaign, where tests before the resume point are skipped and
         ``campaign.tested_pmcs`` no longer equals the loop index.
         """
-        trials = trials or self.config.trials_per_pmc
-        test_index = campaign.tested_pmcs if task_id is None else task_id
+        if task_id is None:
+            task_id = campaign.tested_pmcs
         scheduler = self.make_scheduler(
-            test, seed=self.config.seed + test_index, kind=scheduler_kind
+            test, seed=self.config.seed + task_id, kind=scheduler_kind
         )
-        campaign.tested_pmcs += 1
-        obs = self.obs
-        exercised = False
-        found_new = False
-        with obs.span(
-            "stage4.test",
-            test=test_index,
-            writer=test.writer_test,
-            reader=test.reader_test,
-        ) as test_span:
-            memo = PrefixMemo(
-                self.executor,
-                test.writer,
-                test.reader,
-                pmc=test.pmc,
-                enabled=self.config.prefix_fork,
-                prune=self.config.prune_commuting,
-            )
-            if memo.active:
-                with obs.span("stage4.prefix_record", test=test_index):
-                    memo.prepare()
-            effective, pruned = memo.plan_trials(trials)
-            for trial in range(effective):
-                with obs.span(
-                    "stage4.trial", test=test_index, trial=trial
-                ) as trial_span:
-                    scheduler.begin_trial(trial)
-                    detector = RaceDetector()
-                    result, forked = memo.run_trial(scheduler, detector)
-                    campaign.trials += 1
-                    campaign.instructions += result.instructions
-                    campaign.pages_restored += result.pages_restored
-                    campaign.restore_seconds += result.restore_seconds
-                    if test.pmc is not None and not exercised:
-                        exercised = channel_exercised(test.pmc, result.accesses)
-                    fresh = campaign.record_observations(
-                        observe(result), test_index=test_index, trial=trial
-                    )
-                    scheduler.end_trial(result)
-                    if obs.enabled:
-                        races = len(detector.reports())
-                        trial_span.set(
-                            instructions=result.instructions, races=races
-                        )
-                        self._count_trial(
-                            obs,
-                            result.instructions,
-                            result.pages_restored,
-                            races,
-                            len(fresh),
-                            forked=forked,
-                        )
-                if fresh:
-                    found_new = True
-                    self._capture_packages(test, result, fresh)
-                    if self.config.stop_test_on_new_bug:
-                        break
-            if obs.enabled:
-                test_span.set(
-                    exercised=exercised,
-                    found_new=found_new,
-                    **self._scheduler_stats(scheduler),
-                )
-        if exercised:
-            campaign.exercised_pmcs += 1
-        if obs.enabled:
-            obs.count("stage4.tests", 1)
-            if exercised:
-                obs.count("stage4.exercised", 1)
-            if pruned:
-                obs.count("stage4.trials_pruned", pruned)
-        return found_new
-
-    # Kept as a method alias: module-level ``scheduler_stats`` is the
-    # implementation (process-fleet workers use it without an instance).
-    _scheduler_stats = staticmethod(scheduler_stats)
-
-    @staticmethod
-    def _count_trial(
-        obs,
-        instructions: int,
-        pages: int,
-        races: int,
-        fresh: int,
-        forked: bool = False,
-    ) -> None:
-        """The per-trial funnel increments, shared verbatim by the serial
-        loop and the parallel merge loop so their totals cannot drift."""
-        obs.count("stage4.trials", 1)
-        obs.count("stage4.instructions", instructions)
-        obs.count("restore.pages", pages)
-        obs.count("stage4.races", races)
-        if fresh:
-            obs.count("stage4.observations", fresh)
-        if forked:
-            obs.count("stage4.prefix_fork_hits", 1)
-        obs.observe("stage4.trial_instructions", instructions)
+        result = run_task_trials(
+            self.executor,
+            self._task(task_id, test, scheduler_kind, trials),
+            scheduler,
+            obs_epoch=self.obs.tracer.epoch if self.obs.enabled else None,
+            seen_keys=campaign.seen_keys if self.config.stop_test_on_new_bug else None,
+        )
+        return self._merge_task_outcomes(test, result, campaign, task_id)
 
     def _capture_packages(self, test: ConcurrentTest, result, fresh_records) -> None:
         """Store one deterministic reproduction package per new bug id."""
@@ -756,71 +707,42 @@ class Snowboard:
                 description=str(record.observation),
             )
 
-    # -- parallel stage 4 (the WorkQueue-fed execution fleet) ----------------------
-
-    def _stage4_worker_factory(self):
-        """Build the ``run_workers`` factory: one private kernel per worker.
-
-        Each worker boots its own kernel (buggy or fixed variant), applies
-        the configured setup program, and owns a private executor — the
-        in-process analogue of one Snowboard execution VM in the paper's
-        GCP fleet.  Boot is deterministic, so worker trials are bit-equal
-        to the serial executor's.
-        """
-        config = self.config
-
-        def factory():
-            kernel, snapshot = boot_kernel(fixed=config.fixed_kernel)
-            if config.setup_program is not None:
-                snapshot = derive_initial_state(kernel, snapshot, config.setup_program)
-            executor = Executor(
-                kernel, snapshot, max_instructions=config.max_instructions
-            )
-
-            def execute(task: Stage4Task) -> List[TrialOutcome]:
-                return self._run_test_trials(executor, task)
-
-            return execute
-
-        return factory
-
-    def _run_test_trials(self, executor: Executor, task: Stage4Task) -> List[TrialOutcome]:
-        """Thread-fleet worker body: delegate to :func:`run_task_trials`.
-
-        Builds the task's scheduler from instance state and stashes the
-        worker's obs buffer for the merge loop.  Process-fleet workers
-        run the same :func:`run_task_trials` via the wire format instead
-        of this method.
-        """
-        scheduler = self.make_scheduler(
-            task.test, seed=self.config.seed + task.task_id, kind=task.scheduler_kind
-        )
-        epoch = self.obs.tracer.epoch if self.obs.enabled else None
-        outcomes, buffer = run_task_trials(executor, task, scheduler, obs_epoch=epoch)
-        if buffer is not None:
-            self._stage4_buffers[task.task_id] = buffer
-        return outcomes
-
     def _merge_task_outcomes(
         self,
         test: ConcurrentTest,
-        outcomes: Sequence[TrialOutcome],
+        result,
         campaign: CampaignResult,
-        task_id: Optional[int] = None,
-        budget_trials: Optional[int] = None,
+        task_id: int,
     ) -> bool:
-        """Fold one task's trials into the campaign, mirroring the serial
-        loop of :meth:`execute_test` trial for trial — including the early
-        stop on a fresh observation, so serial and parallel campaigns
-        record identical bug sets, trial counts and first-find positions.
+        """Fold one task's result into the campaign; True if a new bug
+        surfaced.
 
-        ``budget_trials`` is the task's configured trial budget; when the
-        worker ran fewer trials than that, the difference was pruned
-        (commuting-schedule reduction) and is credited here, matching the
-        serial path's accounting."""
-        test_index = campaign.tested_pmcs if task_id is None else task_id
+        Every Stage-4 task ends here, inline or from a fleet, in task
+        order, and this is the only place the ``stage4.*`` funnel counters
+        are counted.  The fold stops at the first trial with a fresh
+        observation (under ``stop_test_on_new_bug``), so a fleet task's
+        surplus trials are dropped and serial and parallel campaigns
+        record identical bug sets, trial counts and first-find positions;
+        only the merged trials' buffered spans reach the trace.
+
+        ``result`` is :func:`run_task_trials`' ``(outcomes, buffer,
+        pruned)``, or a :class:`~repro.orchestrate.queue.TaskFailure` (or
+        ``None``, no result at all) for a task the fleet gave up on: it
+        is counted as a failure, not merged, and still consumes its test
+        index, keeping later first-find positions aligned with a serial
+        run.
+        """
         campaign.tested_pmcs += 1
         obs = self.obs
+        if not isinstance(result, tuple):
+            campaign.task_failures += 1
+            if obs.enabled:
+                obs.count("stage4.tests", 1)
+                obs.event("stage4.task_failed", task=task_id)
+                obs.flush_metrics()
+            return False
+        outcomes, buffer, pruned = result
+        trials_before = campaign.trials
         exercised = False
         found_new = False
         for outcome in outcomes:
@@ -831,17 +753,18 @@ class Snowboard:
             if test.pmc is not None and not exercised:
                 exercised = outcome.channel_hit
             fresh = campaign.record_observations(
-                list(outcome.observations), test_index=test_index, trial=outcome.trial
+                list(outcome.observations), test_index=task_id, trial=outcome.trial
             )
             if obs.enabled:
-                self._count_trial(
-                    obs,
-                    outcome.instructions,
-                    outcome.pages_restored,
-                    outcome.races,
-                    len(fresh),
-                    forked=outcome.forked,
-                )
+                obs.count("stage4.trials", 1)
+                obs.count("stage4.instructions", outcome.instructions)
+                obs.count("restore.pages", outcome.pages_restored)
+                obs.count("stage4.races", outcome.races)
+                if fresh:
+                    obs.count("stage4.observations", len(fresh))
+                if outcome.forked:
+                    obs.count("stage4.prefix_fork_hits", 1)
+                obs.observe("stage4.trial_instructions", outcome.instructions)
             if fresh:
                 found_new = True
                 self._capture_packages(test, outcome, fresh)
@@ -853,63 +776,25 @@ class Snowboard:
             obs.count("stage4.tests", 1)
             if exercised:
                 obs.count("stage4.exercised", 1)
-            if budget_trials is not None:
-                pruned = budget_trials - len(outcomes)
-                if pruned > 0:
-                    obs.count("stage4.trials_pruned", pruned)
+            if pruned:
+                obs.count("stage4.trials_pruned", pruned)
+            if buffer is not None:
+                events = list(buffer["prelude"])
+                for chunk in buffer["trials"][: campaign.trials - trials_before]:
+                    events.extend(chunk)
+                events.extend(buffer["tail"])
+                obs.replay(events)
+            obs.flush_metrics()
         return found_new
-
-    def _run_thread_fleet(
-        self,
-        todo: Sequence[Tuple[int, ConcurrentTest]],
-        campaign: CampaignResult,
-        scheduler_kind: str,
-        trials: int,
-        workers: int,
-    ) -> Dict[int, object]:
-        """Execute ``(task_id, test)`` items over the in-process thread
-        fleet; returns outcome lists / TaskFailures keyed by task id."""
-        work = WorkQueue()
-        queue_ids: Dict[int, int] = {}
-        for nqueued, (index, test) in enumerate(todo):
-            queue_id = work.put(
-                Stage4Task(
-                    task_id=index,
-                    test=test,
-                    trials=trials,
-                    scheduler_kind=scheduler_kind,
-                    prefix_fork=self.config.prefix_fork,
-                    prune_commuting=self.config.prune_commuting,
-                )
-            )
-            if queue_id != nqueued:
-                # Not an assert: under ``python -O`` a stripped assert
-                # would let a pre-seeded queue silently mis-map results.
-                raise RuntimeError(
-                    f"execute_tests_parallel needs a fresh WorkQueue: task "
-                    f"{index} was assigned queue id {queue_id}, expected "
-                    f"{nqueued}"
-                )
-            queue_ids[index] = queue_id
-        results = run_workers(
-            work,
-            self._stage4_worker_factory(),
-            nworkers=workers,
-            max_task_retries=self.config.task_retries,
-            max_worker_respawns=self.config.worker_respawns,
-            obs=self.obs,
-        )
-        campaign.adopt_worker_stats(work.worker_stats)
-        return {index: results.get(queue_ids[index]) for index, _ in todo}
 
     def _run_transport_fleet(
         self,
         todo: Sequence[Tuple[int, ConcurrentTest]],
         campaign: CampaignResult,
         scheduler_kind: str,
-        trials: int,
+        trials: Optional[int],
         workers: int,
-        fleet: str = "processes",
+        fleet: Optional[str],
     ) -> Dict[int, object]:
         """Execute ``(task_id, test)`` items over an out-of-process fleet.
 
@@ -917,27 +802,26 @@ class Snowboard:
         :class:`TaskEnvelope`s (the incidental-adoption universe
         precomputed coordinator-side, since workers have no corpus);
         results come back as :class:`ResultEnvelope`s and are decoded to
-        the same outcome lists the thread fleet produces, with worker obs
-        buffers installed for in-order replay at merge.  ``fleet`` picks
-        the transport under the shared coordinator: ``"processes"``
-        (multiprocessing queues) or ``"sockets"`` (length-prefixed JSON
-        frames over TCP).
+        :func:`run_task_trials`' ``(outcomes, buffer, pruned)``, keyed by
+        task id, or left as the coordinator's ``TaskFailure``.  ``fleet``
+        picks the transport under the shared coordinator: ``"processes"``
+        (multiprocessing queues, the default) or ``"sockets"``
+        (length-prefixed JSON frames over TCP).
         """
-        from repro.orchestrate.fleet import FleetCoordinator, TaskEnvelope, WorkerSpec
+        from repro.orchestrate.fleet import (
+            FleetCoordinator,
+            ResultEnvelope,
+            TaskEnvelope,
+            WorkerSpec,
+        )
 
-        envelopes = []
-        for index, test in todo:
-            task = Stage4Task(
-                task_id=index,
-                test=test,
-                trials=trials,
-                scheduler_kind=scheduler_kind,
-                prefix_fork=self.config.prefix_fork,
-                prune_commuting=self.config.prune_commuting,
+        envelopes = [
+            TaskEnvelope.from_task(
+                self._task(index, test, scheduler_kind, trials),
+                universe=self._scheduler_universe(test),
             )
-            envelopes.append(
-                TaskEnvelope.from_task(task, universe=self._scheduler_universe(test))
-            )
+            for index, test in todo
+        ]
         obs = self.obs
         spec = WorkerSpec(
             config=self.config,
@@ -976,123 +860,10 @@ class Snowboard:
         )
         raw = coordinator.run(envelopes)
         campaign.adopt_worker_stats(coordinator.worker_stats)
-        out: Dict[int, object] = {}
-        for index, _ in todo:
-            result = raw.get(index)
-            if result is None or isinstance(result, TaskFailure):
-                out[index] = result
-                continue
-            outcomes, buffer = result.decode()
-            if buffer is not None and obs.enabled:
-                self._stage4_buffers[index] = buffer
-            out[index] = outcomes
-        return out
-
-    def execute_tests_parallel(
-        self,
-        tests: Sequence[ConcurrentTest],
-        campaign: CampaignResult,
-        scheduler_kind: str = "snowboard",
-        trials: Optional[int] = None,
-        workers: int = 2,
-        completed: Optional[frozenset] = None,
-        on_task_merged=None,
-        task_offset: int = 0,
-        fleet: str = "threads",
-    ) -> None:
-        """Stage 4 across a worker fleet: queue, execute, merge in order.
-
-        Tasks are seeded deterministically (``seed + task_id``) and merged
-        in task order under the campaign-global dedup, so the resulting
-        bug set is identical to a serial campaign over the same tests.
-        Crashed tasks (their retry and respawn budgets exhausted) and
-        tasks with no result at all (worker pool died) are surfaced via
-        ``campaign.task_failures`` instead of being merged as garbage —
-        they still consume their test index, keeping later first-find
-        positions aligned with the serial run.
-
-        ``fleet`` picks the worker substrate: ``"threads"`` (private
-        kernels in this process, the PR-2 fleet), ``"processes"``
-        (:class:`~repro.orchestrate.fleet.FleetCoordinator` over
-        multiprocessing queues, private kernels in spawned worker
-        processes behind the picklable wire format), or ``"sockets"``
-        (the same coordinator over TCP-framed envelopes — workers may
-        auto-spawn locally or join via ``repro fleet-worker``).  All run
-        :func:`run_task_trials` verbatim and merge here in task order,
-        so the choice never changes campaign results.
-
-        ``completed`` names task ids already merged by a resumed
-        checkpoint (skipped here); ``on_task_merged(task_id)`` is invoked
-        after each merge, in task order — the checkpoint journal hook.
-        ``task_offset`` shifts task ids to the tests' global campaign
-        positions (round-based campaigns hand each round's tests
-        separately, but ids — and hence scheduler seeds and journal
-        records — stay campaign-global).
-        """
-        if fleet not in ("threads", "processes", "sockets"):
-            raise ValueError(f"unknown fleet kind {fleet!r}")
-        trials = trials or self.config.trials_per_pmc
-        completed = completed or frozenset()
-        obs = self.obs
-        if obs.enabled:
-            # Fresh buffers per fleet run; workers produce disjoint
-            # task_id keys, the merge loop below drains them in order.
-            self._stage4_buffers = {}
-        todo = [
-            (task_offset + local, test)
-            for local, test in enumerate(tests)
-            if task_offset + local not in completed
-        ]
-        if fleet in ("processes", "sockets"):
-            results = self._run_transport_fleet(
-                todo, campaign, scheduler_kind, trials, workers, fleet
-            )
-        else:
-            results = self._run_thread_fleet(
-                todo, campaign, scheduler_kind, trials, workers
-            )
-        for index, test in todo:
-            outcome = results.get(index)
-            if outcome is None or isinstance(outcome, TaskFailure):
-                # None: the queue never produced a result (all workers
-                # died before claiming the task *and* the drain missed
-                # it) — treat exactly like a recorded failure rather
-                # than crashing the merge loop.
-                campaign.tested_pmcs += 1
-                campaign.task_failures += 1
-                if obs.enabled:
-                    self._stage4_buffers.pop(index, None)  # partial, discard
-                    obs.count("stage4.tests", 1)
-                    obs.event("stage4.task_failed", task=index)
-                if on_task_merged is not None:
-                    on_task_merged(index, merged=False)
-                continue
-            merged_from = campaign.trials
-            self._merge_task_outcomes(
-                test, outcome, campaign, task_id=index, budget_trials=trials
-            )
-            if obs.enabled:
-                self._replay_task_buffer(index, campaign.trials - merged_from)
-                obs.flush_metrics()
-            if on_task_merged is not None:
-                on_task_merged(index)
-
-    def _replay_task_buffer(self, task_id: int, merged_trials: int) -> None:
-        """Replay one task's buffered worker events into the campaign trace.
-
-        Only the spans of the first ``merged_trials`` trials are replayed —
-        the worker ran its full budget, but the merge stopped where the
-        serial campaign would have, and the trace must tell the same story.
-        The tail (the test-level span) is always kept.
-        """
-        buffer = self._stage4_buffers.pop(task_id, None)
-        if buffer is None:
-            return
-        events: List[Dict] = list(buffer.get("prelude", ()))
-        for chunk in buffer["trials"][:merged_trials]:
-            events.extend(chunk)
-        events.extend(buffer["tail"])
-        self.obs.replay(events)
+        return {
+            index: result.decode() if isinstance(result, ResultEnvelope) else result
+            for index, result in raw.items()
+        }
 
     def _stamp_store_header(self, header: Dict) -> None:
         """Record the PMC store's identity in a journal header.
@@ -1115,23 +886,30 @@ class Snowboard:
         resume: bool,
         campaign: CampaignResult,
         strategy: str,
-        test_budget: int,
+        shape: Dict,
         scheduler_kind: str,
         trials: Optional[int],
-        ntests: int,
         fsync: bool = False,
+        ntests: Optional[int] = None,
     ):
-        """Create or resume the campaign journal.
+        """Create or resume a campaign journal.
 
-        Returns (writer, completed task ids).  On resume the journal is
-        validated against the campaign parameters, its records replayed
-        into ``campaign`` and ``self.repro_packages``, and the writer
-        opened in append mode.
+        ``shape`` holds the header's campaign-shape fields: the batch
+        ``test_budget`` (plus ``ntests``), or the round-based ``rounds``,
+        ``round_budget`` and ``corpus_growth`` (test counts are per-round
+        facts there, validated against the journal's round records as
+        each round is recomputed on resume).
+
+        Returns (writer, completed task ids, journalled round records).
+        On resume the journal is read in one scan and validated against
+        the campaign parameters, its records are replayed into
+        ``campaign`` and ``self.repro_packages``, and the writer appends
+        behind the last whole record.
         """
         from repro.orchestrate.persistence import (
             CHECKPOINT_VERSION,
             CheckpointWriter,
-            load_checkpoint,
+            read_journal,
             restore_campaign,
             verify_checkpoint_header,
         )
@@ -1140,26 +918,31 @@ class Snowboard:
             "version": CHECKPOINT_VERSION,
             "strategy": strategy,
             "seed": self.config.seed,
-            "test_budget": test_budget,
+            **shape,
             "trials": trials or self.config.trials_per_pmc,
             "scheduler_kind": scheduler_kind,
             "fixed_kernel": self.config.fixed_kernel,
-            "ntests": ntests,
         }
+        if ntests is not None:
+            header["ntests"] = ntests
         self._stamp_store_header(header)
-        if resume and os.path.exists(checkpoint_path):
-            stored, task_records = load_checkpoint(checkpoint_path)
-            verify_checkpoint_header(stored, header)
-            completed = restore_campaign(campaign, self.repro_packages, task_records)
-            writer = CheckpointWriter.append_to(
-                checkpoint_path, campaign, self.repro_packages, fsync=fsync
-            )
-        else:
-            completed = set()
+        if not (resume and os.path.exists(checkpoint_path)):
             writer = CheckpointWriter.create(
                 checkpoint_path, header, campaign, self.repro_packages, fsync=fsync
             )
-        return writer, frozenset(completed)
+            return writer, frozenset(), {}
+        journal = read_journal(checkpoint_path)
+        verify_checkpoint_header(journal.header, header)
+        completed = restore_campaign(campaign, self.repro_packages, journal.tasks)
+        if os.path.getsize(checkpoint_path) > journal.valid_bytes:
+            # A kill mid-append left a torn tail.  The next record must
+            # not land on that partial line, or every later load would
+            # stop there and drop it and all that follow.
+            os.truncate(checkpoint_path, journal.valid_bytes)
+        writer = CheckpointWriter.append_to(
+            checkpoint_path, campaign, self.repro_packages, fsync=fsync
+        )
+        return writer, frozenset(completed), journal.rounds
 
     def run_campaign(
         self,
@@ -1170,17 +953,16 @@ class Snowboard:
         workers: int = 1,
         checkpoint_path: Optional[str] = None,
         resume: bool = False,
-        fleet: str = "threads",
+        fleet: Optional[str] = None,
         checkpoint_fsync: bool = False,
     ) -> CampaignResult:
         """One full Table 3 campaign: generate, prioritise, execute.
 
-        ``workers > 1`` runs Stage 4 through the work queue with that many
-        private-kernel workers — in this process (``fleet="threads"``),
-        in spawned worker processes (``fleet="processes"``), or behind a
-        TCP listener (``fleet="sockets"``); results (bug sets, trial
-        counts, first-find positions) are identical to the serial run for
-        the same seed in every case.
+        ``workers > 1`` runs Stage 4 on that many private-kernel workers —
+        spawned worker processes (``fleet="processes"``, the default) or
+        workers behind a TCP listener (``fleet="sockets"``); results (bug
+        sets, trial counts, first-find positions) are identical to the
+        serial run for the same seed in every case.
 
         ``checkpoint_path`` journals every merged Stage-4 task to a JSONL
         file as it completes; with ``resume=True`` an existing journal is
@@ -1201,16 +983,16 @@ class Snowboard:
         writer = None
         completed: frozenset = frozenset()
         if checkpoint_path is not None:
-            writer, completed = self._open_checkpoint(
+            writer, completed, _ = self._open_checkpoint(
                 checkpoint_path,
                 resume,
                 campaign,
                 strategy,
-                test_budget,
+                {"test_budget": test_budget},
                 scheduler_kind,
                 trials,
-                len(tests),
                 fsync=checkpoint_fsync,
+                ntests=len(tests),
             )
         start = time.perf_counter()
         try:
@@ -1241,20 +1023,33 @@ class Snowboard:
         completed: frozenset,
         writer,
         task_offset: int = 0,
-        fleet: str = "threads",
+        fleet: Optional[str] = None,
     ) -> None:
-        """Run one batch of tests serially or across the fleet.
+        """Run one batch of tests inline or on a fleet, merging in task
+        order.
 
-        The single dispatch point shared by :meth:`run_campaign` (one
-        batch) and :meth:`run_rounds` (one call per round, with the
-        round's global ``task_offset``); both paths journal each merged
-        task and skip ids already ``completed`` by a resumed checkpoint.
+        The single dispatch point of :meth:`run_campaign` (one batch),
+        :meth:`run_rounds` (one call per round, with the round's global
+        ``task_offset``) and :meth:`run_iterative_campaign`.  Ids already
+        ``completed`` by a resumed checkpoint are skipped, and each merged
+        task is journalled through ``writer``.  ``workers > 1`` runs the
+        tasks on a ``fleet`` of that many workers (``"processes"`` unless
+        ``"sockets"`` is asked for); the choice never changes results.
         """
-        if workers <= 1:
-            for local, test in enumerate(tests):
-                index = task_offset + local
-                if index in completed:
-                    continue
+        if fleet is not None and fleet not in FLEET_KINDS:
+            raise ValueError(f"unknown fleet kind {fleet!r}")
+        todo = [
+            (task_offset + local, test)
+            for local, test in enumerate(tests)
+            if task_offset + local not in completed
+        ]
+        results = None
+        if workers > 1:
+            results = self._run_transport_fleet(
+                todo, campaign, scheduler_kind, trials, workers, fleet
+            )
+        for index, test in todo:
+            if results is None:
                 self.execute_test(
                     test,
                     campaign,
@@ -1262,24 +1057,13 @@ class Snowboard:
                     trials=trials,
                     task_id=index,
                 )
-                if self.obs.enabled:
-                    # Keep the trace's cumulative funnel near-current,
-                    # so a killed campaign still reads sensibly.
-                    self.obs.flush_metrics()
-                if writer is not None:
-                    writer.task_done(index)
-        else:
-            self.execute_tests_parallel(
-                tests,
-                campaign,
-                scheduler_kind=scheduler_kind,
-                trials=trials,
-                workers=workers,
-                completed=completed,
-                on_task_merged=(writer.task_done if writer is not None else None),
-                task_offset=task_offset,
-                fleet=fleet,
-            )
+                merged = True
+            else:
+                result = results.get(index)
+                self._merge_task_outcomes(test, result, campaign, index)
+                merged = isinstance(result, tuple)
+            if writer is not None:
+                writer.task_done(index, merged=merged)
 
     def _finish_campaign_obs(self, campaign: CampaignResult) -> None:
         """End-of-campaign observability tail: fleet health counters,
@@ -1321,64 +1105,6 @@ class Snowboard:
 
     # -- round-based incremental campaigns -----------------------------------------
 
-    def _open_rounds_checkpoint(
-        self,
-        checkpoint_path: str,
-        resume: bool,
-        campaign: CampaignResult,
-        strategy: str,
-        rounds: int,
-        round_budget: int,
-        corpus_growth: int,
-        scheduler_kind: str,
-        trials: Optional[int],
-        fsync: bool = False,
-    ):
-        """Create or resume a round-based campaign journal.
-
-        Returns (writer, completed task ids, journalled round records).
-        The header guards the round-shape parameters instead of the batch
-        ``test_budget``/``ntests`` (test counts are per-round facts,
-        validated against the journal's round records as each round is
-        recomputed on resume).
-        """
-        from repro.orchestrate.persistence import (
-            CHECKPOINT_VERSION,
-            CheckpointWriter,
-            load_checkpoint,
-            load_round_records,
-            restore_campaign,
-            verify_checkpoint_header,
-        )
-
-        header = {
-            "version": CHECKPOINT_VERSION,
-            "strategy": strategy,
-            "seed": self.config.seed,
-            "rounds": rounds,
-            "round_budget": round_budget,
-            "corpus_growth": corpus_growth,
-            "trials": trials or self.config.trials_per_pmc,
-            "scheduler_kind": scheduler_kind,
-            "fixed_kernel": self.config.fixed_kernel,
-        }
-        self._stamp_store_header(header)
-        if resume and os.path.exists(checkpoint_path):
-            stored, task_records = load_checkpoint(checkpoint_path)
-            verify_checkpoint_header(stored, header)
-            completed = restore_campaign(campaign, self.repro_packages, task_records)
-            round_records = load_round_records(checkpoint_path)
-            writer = CheckpointWriter.append_to(
-                checkpoint_path, campaign, self.repro_packages, fsync=fsync
-            )
-        else:
-            completed = set()
-            round_records = {}
-            writer = CheckpointWriter.create(
-                checkpoint_path, header, campaign, self.repro_packages, fsync=fsync
-            )
-        return writer, frozenset(completed), round_records
-
     def run_rounds(
         self,
         rounds: int,
@@ -1390,7 +1116,7 @@ class Snowboard:
         corpus_growth: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         resume: bool = False,
-        fleet: str = "threads",
+        fleet: Optional[str] = None,
         checkpoint_fsync: bool = False,
     ) -> CampaignResult:
         """A round-based incremental campaign (§4.3, §6 continuous mode).
@@ -1431,14 +1157,12 @@ class Snowboard:
         completed: frozenset = frozenset()
         round_records: Dict[int, Dict] = {}
         if checkpoint_path is not None:
-            writer, completed, round_records = self._open_rounds_checkpoint(
+            writer, completed, round_records = self._open_checkpoint(
                 checkpoint_path,
                 resume,
                 campaign,
                 strategy,
-                rounds,
-                round_budget,
-                growth,
+                {"rounds": rounds, "round_budget": round_budget, "corpus_growth": growth},
                 scheduler_kind,
                 trials,
                 fsync=checkpoint_fsync,
@@ -1478,7 +1202,7 @@ class Snowboard:
         completed: frozenset,
         writer,
         round_records: Dict[int, Dict],
-        fleet: str = "threads",
+        fleet: Optional[str] = None,
     ) -> RoundInfo:
         """Advance the campaign by one round."""
         from repro.orchestrate.persistence import verify_round_record
@@ -1594,11 +1318,15 @@ class Snowboard:
         )
         tests = self.tests_from_exemplars(exemplars, rng)
         start = time.perf_counter()
-        if workers <= 1:
-            for test in tests:
-                self.execute_test(test, campaign, trials=trials)
-        else:
-            self.execute_tests_parallel(tests, campaign, trials=trials, workers=workers)
+        self._execute_tests(
+            tests,
+            campaign,
+            scheduler_kind="snowboard",
+            trials=trials,
+            workers=workers,
+            completed=frozenset(),
+            writer=None,
+        )
         campaign.wall_seconds = time.perf_counter() - start
         self._finish_campaign_obs(campaign)
         return campaign

@@ -1,47 +1,20 @@
-"""A lightweight distributed work queue (the Redis-queue analogue).
+"""Fleet records shared by the coordinator and the campaign result.
 
 The paper distributes concurrent tests to cloud workers through a simple
-queue (section 4.4.1).  This module provides the same topology in
-process: a thread-safe FIFO of tasks, workers that pull and execute
-them, and result collection.  Workers that test kernels must each own a
-private kernel instance — the executor mutates machine state — which is
-why ``run_workers`` takes a worker *factory*.
-
-Fault model (the §4.4.1 fleet ran for weeks; ours must survive the same
-failure classes in miniature):
-
-* **Task failure** — the payload raises ``Exception``.  The task is
-  retried in place up to ``max_task_retries`` times (payloads are
-  deterministic, so re-execution is bit-identical); if the budget runs
-  out the result is a :class:`TaskFailure`.
-* **Worker death** — the factory raises while building a worker, or the
-  payload raises ``BaseException`` (the in-process analogue of a VM
-  dying mid-task).  The worker is respawned — its factory re-invoked to
-  boot a fresh private kernel — up to ``max_worker_respawns`` times,
-  after which the worker is marked failed and exits.
-* **Pool exhaustion** — every worker is dead.  Remaining queued tasks
-  are drained by the coordinator and recorded as :class:`TaskFailure`,
-  so callers always get one result per task: no hang, no missing key.
+queue (section 4.4.1).  Here that queue is
+:class:`~repro.orchestrate.fleet.FleetCoordinator`, which owns the fault
+model (task retries, worker respawns, pool-exhaustion drain).  This
+module holds the two plain records it reports through: a
+:class:`TaskFailure` per task it gave up on, and a :class:`WorkerStats`
+per worker.
 """
 
 from __future__ import annotations
 
 import builtins
-import queue
-import threading
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
-
-from repro.obs import NULL_OBSERVER
-
-
-@dataclass(frozen=True)
-class Task:
-    """One unit of work: an id and an opaque payload."""
-
-    task_id: int
-    payload: Any
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -126,8 +99,8 @@ class TaskFailure:
 class WorkerStats:
     """Per-worker fleet bookkeeping (tasks done, retries, respawns).
 
-    The in-process analogue of per-VM health counters on the paper's GCP
-    fleet: how much work the worker did, how often its tasks had to be
+    The analogue of per-VM health counters on the paper's GCP fleet:
+    how much work the worker did, how often its tasks had to be
     retried, how often the worker itself had to be rebooted, and whether
     it eventually died for good.
     """
@@ -135,231 +108,7 @@ class WorkerStats:
     worker_id: int
     tasks_done: int = 0
     retries: int = 0  # payload attempts that failed and were re-run
-    respawns: int = 0  # factory rebuilds (boot crash or payload BaseException)
-    heartbeats_missed: int = 0  # liveness deadlines blown (process/socket fleets)
+    respawns: int = 0  # worker restarts (death, boot failure or expired lease)
+    heartbeats_missed: int = 0  # liveness deadlines blown
     failed: bool = False  # respawn budget exhausted; worker permanently dead
     last_error: Optional[BaseException] = field(default=None, repr=False)
-
-
-class _TimedOut:
-    """Singleton sentinel for ``WorkQueue.get(timeout=...)`` expiry.
-
-    The canonical instance is created exactly once, at module import
-    (under the interpreter's import lock, so first instantiation cannot
-    race), and ``__reduce__`` resolves any pickled copy back to it —
-    ``pickle.loads(pickle.dumps(TIMED_OUT)) is TIMED_OUT`` holds even
-    when the sentinel crosses a process boundary.
-    """
-
-    _instance: Optional["_TimedOut"] = None
-
-    def __new__(cls) -> "_TimedOut":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self):
-        return (_restore_timed_out, ())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "TIMED_OUT"
-
-
-def _restore_timed_out() -> "_TimedOut":
-    """Pickle reconstructor: always the canonical sentinel instance."""
-    return TIMED_OUT
-
-
-#: Returned by :meth:`WorkQueue.get` when the timeout expires with no task
-#: available — distinct from ``None``, which means shutdown.
-TIMED_OUT = _TimedOut()
-
-
-class WorkQueue:
-    """Thread-safe FIFO with completion tracking."""
-
-    def __init__(self):
-        self._queue: "queue.Queue[Optional[Task]]" = queue.Queue()
-        self._results: Dict[int, Any] = {}
-        self._lock = threading.Lock()
-        self._enqueued = 0
-        # Real tasks enqueued but not yet dequeued.  Counted here rather
-        # than derived from Queue.qsize(), which is documented-unreliable
-        # and raises NotImplementedError on macOS multiprocessing queues.
-        self._pending = 0
-        # Per-worker stats of the last run_workers() fleet over this queue.
-        self.worker_stats: List[WorkerStats] = []
-
-    def put(self, payload: Any) -> int:
-        """Enqueue a payload; returns its task id."""
-        with self._lock:
-            task_id = self._enqueued
-            self._enqueued += 1
-            self._pending += 1
-        self._queue.put(Task(task_id, payload))
-        return task_id
-
-    def get(self, timeout: Optional[float] = None) -> Union[Task, None, _TimedOut]:
-        """Dequeue one task.
-
-        Returns ``None`` when a shutdown sentinel was drawn (the worker
-        should exit) and :data:`TIMED_OUT` when ``timeout`` elapsed with
-        nothing to dequeue — it never raises ``queue.Empty``.
-        """
-        try:
-            task = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return TIMED_OUT
-        if task is not None:
-            with self._lock:
-                self._pending = max(0, self._pending - 1)
-        return task
-
-    def complete(self, task: Task, result: Any) -> None:
-        with self._lock:
-            self._results[task.task_id] = result
-
-    def has_result(self, task_id: int) -> bool:
-        with self._lock:
-            return task_id in self._results
-
-    def shutdown(self, nworkers: int) -> None:
-        """Signal ``nworkers`` workers to exit."""
-        for _ in range(nworkers):
-            self._queue.put(None)
-
-    @property
-    def results(self) -> Dict[int, Any]:
-        with self._lock:
-            return dict(self._results)
-
-    def pending(self) -> int:
-        """Real tasks still queued (shutdown sentinels excluded)."""
-        with self._lock:
-            return self._pending
-
-
-def run_workers(
-    work: WorkQueue,
-    worker_factory: Callable[[], Callable[[Any], Any]],
-    nworkers: int = 2,
-    max_task_retries: int = 0,
-    max_worker_respawns: int = 2,
-    obs=NULL_OBSERVER,
-) -> Dict[int, Any]:
-    """Run all queued tasks across ``nworkers`` workers; returns results.
-
-    ``worker_factory`` is invoked once per worker to build its private
-    task function (e.g. booting a private kernel), mirroring one
-    Snowboard execution instance per cloud VM.  The fault model is
-    documented at module level: payload ``Exception``s are retried up to
-    ``max_task_retries`` times and then recorded as :class:`TaskFailure`;
-    a factory crash or a payload ``BaseException`` respawns the worker
-    (fresh factory call) up to ``max_worker_respawns`` times; and if the
-    whole pool dies, unclaimed tasks are drained into ``TaskFailure``
-    results so every enqueued task has exactly one result.
-
-    Per-worker counters are left in ``work.worker_stats``.
-    """
-    stats_list = [WorkerStats(worker_id=i) for i in range(nworkers)]
-
-    def rebuild(stats: WorkerStats):
-        """(Re)invoke the factory; None when the respawn budget is gone."""
-        while True:
-            try:
-                return worker_factory()
-            except Exception as error:  # noqa: BLE001 - boot crash != fatal
-                stats.respawns += 1
-                stats.last_error = error
-                if stats.respawns > max_worker_respawns:
-                    stats.failed = True
-                    return None
-
-    def loop(stats: WorkerStats) -> None:
-        execute = rebuild(stats)
-        while execute is not None:
-            task = work.get()
-            if task is TIMED_OUT:
-                continue
-            if task is None:
-                return
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    outcome = execute(task.payload)
-                    stats.tasks_done += 1
-                    break
-                except Exception as error:  # noqa: BLE001 - workers survive
-                    failure = TaskFailure.from_exception(
-                        task.task_id, error, attempts=attempts
-                    )
-                except BaseException as error:  # worker-killing payload
-                    # The in-process analogue of the VM dying mid-task:
-                    # contain the blast radius, respawn a fresh worker,
-                    # and re-run the (deterministic) task on it.
-                    failure = TaskFailure.from_exception(
-                        task.task_id, error, attempts=attempts
-                    )
-                    stats.respawns += 1
-                    stats.last_error = error
-                    if stats.respawns > max_worker_respawns:
-                        stats.failed = True
-                        work.complete(task, failure)
-                        return
-                    execute = rebuild(stats)
-                    if execute is None:
-                        work.complete(task, failure)
-                        return
-                if attempts > max_task_retries:
-                    outcome = failure
-                    break
-                stats.retries += 1
-            work.complete(task, outcome)
-
-    threads = [
-        threading.Thread(target=loop, args=(stats,), daemon=True)
-        for stats in stats_list
-    ]
-    work.shutdown(nworkers)  # sentinels queued *after* real tasks: FIFO drains first
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    # Pool-exhaustion containment: workers that died without draining the
-    # queue leave unclaimed tasks behind.  Record a TaskFailure for each
-    # so callers see one result per task instead of a missing key.
-    boot_error = next(
-        (s.last_error for s in stats_list if s.failed and s.last_error), None
-    )
-    while True:
-        task = work.get(timeout=0.001)
-        if task is TIMED_OUT:
-            break
-        if task is None:
-            continue
-        if not work.has_result(task.task_id):
-            error = RuntimeError(
-                f"worker pool exhausted before task {task.task_id} ran"
-            )
-            error.__cause__ = boot_error
-            work.complete(
-                task, TaskFailure.from_exception(task.task_id, error, attempts=0)
-            )
-
-    work.worker_stats = stats_list
-    if obs.enabled:
-        # One health event per worker, in worker-id order (the fleet is
-        # already joined, so counters are final and reads are race-free).
-        for stats in stats_list:
-            obs.event(
-                "fleet.worker",
-                worker_id=stats.worker_id,
-                tasks_done=stats.tasks_done,
-                retries=stats.retries,
-                respawns=stats.respawns,
-                heartbeats_missed=stats.heartbeats_missed,
-                failed=stats.failed,
-            )
-    return work.results

@@ -9,7 +9,7 @@ at which it was first seen — the tests-executed analogue of Table 3's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, List, Tuple
 
 from repro.detect.catalog import match_observations
 from repro.detect.report import (
@@ -98,6 +98,11 @@ class CampaignResult:
         if fresh:
             self._match_records()
         return fresh
+
+    @property
+    def seen_keys(self) -> AbstractSet:
+        """The observation dedup keys recorded so far (a live view)."""
+        return self._seen_keys
 
     # -- checkpoint restore (orchestrate.persistence journal replay) ---------
 

@@ -27,7 +27,7 @@ _SPEC_FLAGS = (
     ("--corpus-growth", "corpus_growth", int, "fuzz executions per round"),
     ("--strategy", "strategy", str, "clustering strategy"),
     ("--workers", "workers", int, "Stage-4 worker count"),
-    ("--fleet", "fleet", str, "worker substrate: threads, processes or sockets"),
+    ("--fleet", "fleet", str, "fleet for workers > 1: processes (default) or sockets"),
     ("--lease-timeout", "lease_timeout", float, "fleet task lease in seconds"),
     (
         "--heartbeat-interval",

@@ -23,7 +23,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.orchestrate.pipeline import SnowboardConfig
+from repro.orchestrate.pipeline import (
+    ALL_METHODS,
+    FLEET_KINDS,
+    SCHEDULER_KINDS,
+    SnowboardConfig,
+)
 
 # -- lifecycle states --------------------------------------------------------------
 
@@ -72,7 +77,8 @@ class JobSpec:
     strategy: str = "S-INS-PAIR"
     scheduler_kind: str = "snowboard"
     workers: int = 1
-    fleet: str = "threads"
+    # None: serial for one worker, a process fleet above that.
+    fleet: Optional[str] = None
     fixed_kernel: bool = False
     max_instructions: int = 60_000
     prefix_fork: bool = True
@@ -96,10 +102,15 @@ class JobSpec:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.fleet not in ("threads", "processes", "sockets"):
-            raise ValueError(f"unknown fleet kind {self.fleet!r}")
-        if self.fleet in ("processes", "sockets") and self.workers <= 1:
-            raise ValueError(f"fleet {self.fleet!r} requires workers > 1")
+        if self.fleet is not None:
+            if self.fleet not in FLEET_KINDS:
+                raise ValueError(f"unknown fleet kind {self.fleet!r}")
+            if self.workers <= 1:
+                raise ValueError(f"fleet {self.fleet!r} requires workers > 1")
+        if self.strategy not in ALL_METHODS:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.scheduler_kind not in SCHEDULER_KINDS:
+            raise ValueError(f"unknown scheduler kind {self.scheduler_kind!r}")
         for name in ("lease_timeout", "heartbeat_interval", "heartbeat_timeout"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -145,6 +156,11 @@ class JobSpec:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
+        if obj.get("fleet") == "threads":
+            # The default before the in-process thread fleet was retired,
+            # so every older registry journal (and older client) says it;
+            # the fleet kind never changes results, so it reads as unset.
+            obj = {**obj, "fleet": None}
         spec = cls(**obj)
         spec.validate()
         return spec

@@ -226,6 +226,27 @@ class TestJournalGuards:
         )
         assert resumed.summary() == uninterrupted.summary()
 
+    def test_resume_cuts_torn_tail_before_appending(self, baseline, tmp_path):
+        """Resume must not append behind a torn line: the glued record
+        would end every later load there, dropping the resumed tasks."""
+        _, uninterrupted = baseline
+        path = str(tmp_path / "journal.jsonl")
+        Snowboard(CONFIG).prepare().run_campaign(
+            STRATEGY, test_budget=BUDGET, checkpoint_path=path
+        )
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        # The header and tasks 0-2, then a kill halfway through task 3's record.
+        with open(path, "wb") as handle:
+            handle.write(b"".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+        for _ in range(2):
+            resumed = Snowboard(CONFIG).prepare().run_campaign(
+                STRATEGY, test_budget=BUDGET, checkpoint_path=path, resume=True
+            )
+            assert resumed.summary() == uninterrupted.summary()
+        _, tasks = load_checkpoint(path)
+        assert [t["task_id"] for t in tasks] == list(range(BUDGET))
+
     def test_corrupted_record_fails_digest_check(self, tmp_path):
         path = self._partial_journal(tmp_path)
         with open(path) as handle:

@@ -1,8 +1,11 @@
-"""Tests for the orchestration layer: queue, results, pipeline."""
+"""Tests for the orchestration layer: task queue, results, pipeline."""
+
+from typing import List
 
 import pytest
 
 from repro.detect.report import observe
+from repro.orchestrate.fleet import ResultEnvelope
 from repro.orchestrate.pipeline import (
     DUPLICATE_PAIRING,
     RANDOM_PAIRING,
@@ -10,201 +13,178 @@ from repro.orchestrate.pipeline import (
     Snowboard,
     SnowboardConfig,
 )
-from repro.orchestrate.queue import TIMED_OUT, TaskFailure, WorkQueue, run_workers
+from repro.orchestrate.queue import TaskFailure
 from repro.orchestrate.results import CampaignResult
 from repro.sched.executor import ExecutionResult
+from tests.test_transport import (
+    StubTransport,
+    answer,
+    boot_fails,
+    hello,
+    make_coordinator,
+    make_envelope,
+)
 
 
 class TestWorkQueue:
+    """The coordinator's task queue, driven through scripted stub
+    workers: every task gets exactly one result, and a task that raises
+    never takes the rest of the queue down with it."""
+
     def test_fifo_results(self):
-        work = WorkQueue()
-        for i in range(10):
-            work.put(i)
-        results = run_workers(work, lambda: (lambda x: x * 2), nworkers=3)
-        assert results == {i: i * 2 for i in range(10)}
+        def double(handle, envelope):
+            handle.emit(
+                ResultEnvelope(
+                    task_id=envelope.task_id,
+                    worker_id=handle.worker_id,
+                    status="ok",
+                    message=str(envelope.task_id * 2),
+                    generation=handle.generation,
+                )
+            )
+
+        transport = StubTransport([{"on_spawn": hello, "on_task": double}])
+        coordinator = make_coordinator(transport, nworkers=3)
+        results = coordinator.run([make_envelope(i) for i in range(10)])
+        assert {i: int(r.message) for i, r in results.items()} == {
+            i: i * 2 for i in range(10)
+        }
 
     def test_worker_factory_called_per_worker(self):
-        created = []
-
-        def factory():
-            created.append(1)
-            return lambda x: x
-
-        work = WorkQueue()
-        work.put(0)
-        run_workers(work, factory, nworkers=4)
-        assert len(created) == 4
+        transport = StubTransport([{"on_spawn": hello, "on_task": answer({}, [])}])
+        coordinator = make_coordinator(transport, nworkers=4)
+        coordinator.run([make_envelope(0)])
+        assert [h.worker_id for h in transport.spawned] == [0, 1, 2, 3]
 
     def test_empty_queue_completes(self):
-        work = WorkQueue()
-        assert run_workers(work, lambda: (lambda x: x), nworkers=2) == {}
-
-    def test_task_ids_are_sequential(self):
-        work = WorkQueue()
-        ids = [work.put(f"p{i}") for i in range(5)]
-        assert ids == [0, 1, 2, 3, 4]
-
-    def test_get_timeout_returns_sentinel_not_raises(self):
-        # Regression: a timeout used to leak queue.Empty to the caller
-        # even though the docstring promised "None means shutdown".
-        work = WorkQueue()
-        assert work.get(timeout=0.01) is TIMED_OUT
-
-    def test_timed_out_is_distinct_from_shutdown(self):
-        work = WorkQueue()
-        work.shutdown(nworkers=1)
-        assert work.get(timeout=0.01) is None  # shutdown sentinel
-        assert work.get(timeout=0.01) is TIMED_OUT  # nothing left
-
-    def test_pending_excludes_shutdown_sentinels(self):
-        # Regression: pending() used to count shutdown sentinels as work.
-        work = WorkQueue()
-        work.put("real")
-        work.put("real2")
-        work.shutdown(nworkers=3)
-        assert work.pending() == 2
-        assert work.get() is not None
-        assert work.pending() == 1
-
-    def test_pending_zero_after_drain(self):
-        work = WorkQueue()
-        work.put("only")
-        work.shutdown(nworkers=2)
-        work.get()  # the real task
-        assert work.pending() == 0
-        work.get()  # one sentinel
-        assert work.pending() == 0
+        transport = StubTransport([{"on_spawn": hello}])
+        assert make_coordinator(transport, nworkers=2).run([]) == {}
+        assert transport.closed
 
     def test_worker_exception_wrapped_as_task_failure(self):
-        # Regression: a worker exception used to be stored bare, making it
-        # indistinguishable from a task that *returns* an exception object.
-        returned_error = ValueError("legitimate result")
+        # A raising task comes back as a TaskFailure record, so it stays
+        # distinguishable from a result the worker returned.
+        calls: List[int] = []
+        transport = StubTransport(
+            [{"on_spawn": hello, "on_task": answer({1: 1}, calls)}]
+        )
+        coordinator = make_coordinator(transport, nworkers=2, max_task_retries=0)
+        results = coordinator.run([make_envelope(0), make_envelope(1)])
 
-        def execute(payload):
-            if payload == "boom":
-                raise RuntimeError("worker crash")
-            return returned_error
-
-        work = WorkQueue()
-        ok_id = work.put("fine")
-        bad_id = work.put("boom")
-        results = run_workers(work, lambda: execute, nworkers=2)
-
-        assert results[ok_id] is returned_error  # not wrapped
-        failure = results[bad_id]
+        assert isinstance(results[0], ResultEnvelope)  # not wrapped
+        assert results[0].status == "ok"
+        failure = results[1]
         assert isinstance(failure, TaskFailure)
-        assert failure.task_id == bad_id
+        assert failure.task_id == 1
         assert isinstance(failure.error, RuntimeError)
 
     def test_failure_does_not_strand_queue(self):
-        def factory():
-            def execute(payload):
-                if payload % 2:
-                    raise RuntimeError("odd payloads crash")
-                return payload
-
-            return execute
-
-        work = WorkQueue()
-        for i in range(8):
-            work.put(i)
-        results = run_workers(work, factory, nworkers=3)
+        calls: List[int] = []
+        odd_tasks_crash = {i: 99 for i in range(1, 8, 2)}
+        transport = StubTransport(
+            [{"on_spawn": hello, "on_task": answer(odd_tasks_crash, calls)}]
+        )
+        coordinator = make_coordinator(transport, nworkers=3)
+        results = coordinator.run([make_envelope(i) for i in range(8)])
         assert len(results) == 8
         assert sum(isinstance(r, TaskFailure) for r in results.values()) == 4
+        assert all(results[i].status == "ok" for i in range(0, 8, 2))
 
 
 class TestWorkerFaultTolerance:
     def test_task_retry_recovers_transient_failure(self):
-        attempts = {}
-
-        def factory():
-            def execute(payload):
-                attempts[payload] = attempts.get(payload, 0) + 1
-                if attempts[payload] == 1:
-                    raise RuntimeError("transient")
-                return payload * 10
-
-            return execute
-
-        work = WorkQueue()
-        for i in range(4):
-            work.put(i)
-        results = run_workers(work, factory, nworkers=2, max_task_retries=1)
-        assert results == {i: i * 10 for i in range(4)}
-        assert sum(s.retries for s in work.worker_stats) == 4
-        assert all(not s.failed for s in work.worker_stats)
+        calls: List[int] = []
+        each_fails_once = {i: 1 for i in range(4)}
+        transport = StubTransport(
+            [{"on_spawn": hello, "on_task": answer(each_fails_once, calls)}]
+        )
+        coordinator = make_coordinator(transport, nworkers=2, max_task_retries=1)
+        results = coordinator.run([make_envelope(i) for i in range(4)])
+        assert all(results[i].status == "ok" for i in range(4))
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert sum(s.retries for s in coordinator.worker_stats) == 4
+        assert all(not s.failed for s in coordinator.worker_stats)
 
     def test_retry_budget_exhausted_records_attempts(self):
-        def factory():
-            def execute(payload):
-                raise RuntimeError("deterministic crash")
-
-            return execute
-
-        work = WorkQueue()
-        work.put("x")
-        results = run_workers(work, factory, nworkers=1, max_task_retries=2)
+        calls: List[int] = []
+        transport = StubTransport(
+            [{"on_spawn": hello, "on_task": answer({0: 99}, calls)}]
+        )
+        coordinator = make_coordinator(transport, max_task_retries=2)
+        results = coordinator.run([make_envelope(0)])
         failure = results[0]
         assert isinstance(failure, TaskFailure)
         assert failure.attempts == 3  # 1 initial + 2 retries
-        assert sum(s.retries for s in work.worker_stats) == 2
+        assert sum(s.retries for s in coordinator.worker_stats) == 2
 
     def test_base_exception_respawns_worker_and_retries(self):
-        class WorkerDeath(BaseException):
-            """Not an Exception: kills the worker, not just the task."""
+        """Generation 1 serves task 0, then dies on task 1 without a
+        word; the coordinator reclaims the lease at the heartbeat
+        deadline and the respawned worker re-runs only task 1."""
 
-        built = []
-        state = {"killed": False}
+        def ok(handle, envelope):
+            handle.emit(
+                ResultEnvelope(
+                    task_id=envelope.task_id,
+                    worker_id=handle.worker_id,
+                    status="ok",
+                    generation=handle.generation,
+                )
+            )
 
-        def factory():
-            built.append(1)
+        def dies_on_task_1(handle, envelope):
+            if envelope.task_id != 1:
+                ok(handle, envelope)
 
-            def execute(payload):
-                if payload == "bomb" and not state["killed"]:
-                    state["killed"] = True
-                    raise WorkerDeath()
-                return payload
-
-            return execute
-
-        work = WorkQueue()
-        work.put("ok")
-        work.put("bomb")
-        results = run_workers(
-            work, factory, nworkers=1, max_task_retries=1, max_worker_respawns=2
+        transport = StubTransport(
+            [
+                {"on_spawn": hello, "on_task": dies_on_task_1},
+                {"on_spawn": hello, "on_task": ok},
+            ]
         )
-        assert results == {0: "ok", 1: "bomb"}  # retried on the respawn
-        assert len(built) == 2  # original boot + one respawn
-        stats = work.worker_stats[0]
+        coordinator = make_coordinator(
+            transport, max_task_retries=1, max_worker_respawns=2
+        )
+        results = coordinator.run([make_envelope(0), make_envelope(1)])
+        assert results[0].status == "ok" and results[0].generation == 1
+        assert results[1].status == "ok" and results[1].generation == 2
+        assert len(transport.spawned) == 2  # original boot + one respawn
+        stats = coordinator.worker_stats[0]
         assert stats.respawns == 1
         assert stats.retries == 1
+        assert stats.tasks_done == 2
         assert not stats.failed
 
     def test_all_factories_crash_drains_every_task(self):
-        def factory():
-            raise RuntimeError("kernel boot failed")
-
-        work = WorkQueue()
-        for i in range(6):
-            work.put(i)
-        results = run_workers(work, factory, nworkers=3, max_worker_respawns=1)
+        transport = StubTransport([{"on_spawn": boot_fails}])
+        coordinator = make_coordinator(
+            transport, nworkers=3, max_worker_respawns=1
+        )
+        results = coordinator.run([make_envelope(i) for i in range(6)])
         assert len(results) == 6  # no missing keys, no hang
         for i in range(6):
             failure = results[i]
             assert isinstance(failure, TaskFailure)
-            assert failure.attempts == 0  # never ran
             assert "worker pool exhausted" in str(failure.error)
-        assert all(s.failed for s in work.worker_stats)
-        assert all(s.respawns == 2 for s in work.worker_stats)  # 1 + 1 respawn
+            assert failure.cause_message == "boot failed: RuntimeError: kernel boot failed"
+        # The first three tasks were leased to the booting workers and
+        # reclaimed once each; the rest never ran.
+        assert [results[i].attempts for i in range(6)] == [1, 1, 1, 0, 0, 0]
+        assert all(s.failed for s in coordinator.worker_stats)
+        assert all(s.respawns == 2 for s in coordinator.worker_stats)  # 1 + 1 respawn
+        assert all(s.tasks_done == 0 for s in coordinator.worker_stats)
 
     def test_worker_stats_count_tasks_done(self):
-        work = WorkQueue()
-        for i in range(10):
-            work.put(i)
-        run_workers(work, lambda: (lambda x: x), nworkers=3)
-        assert sum(s.tasks_done for s in work.worker_stats) == 10
-        assert sum(s.retries for s in work.worker_stats) == 0
-        assert sum(s.respawns for s in work.worker_stats) == 0
+        calls: List[int] = []
+        transport = StubTransport(
+            [{"on_spawn": hello, "on_task": answer({}, calls)}]
+        )
+        coordinator = make_coordinator(transport, nworkers=3)
+        coordinator.run([make_envelope(i) for i in range(10)])
+        assert sorted(calls) == list(range(10))
+        assert sum(s.tasks_done for s in coordinator.worker_stats) == 10
+        assert sum(s.retries for s in coordinator.worker_stats) == 0
+        assert sum(s.respawns for s in coordinator.worker_stats) == 0
 
 
 class TestCampaignResult:

@@ -1,4 +1,4 @@
-"""Parallel Stage 4: the WorkQueue-fed execution fleet.
+"""Parallel Stage 4: campaigns on a worker fleet.
 
 The contract under test is the paper's distribution story (section
 4.4.1): concurrent tests are independent work items, so spreading them
@@ -10,10 +10,16 @@ positions.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.orchestrate.transport as transport_mod
 from repro.fuzz.prog import Call, prog
-from repro.orchestrate.pipeline import Snowboard, SnowboardConfig, Stage4Task
+from repro.orchestrate.fleet import FleetFault
+from repro.orchestrate.pipeline import Snowboard, SnowboardConfig, run_task_trials
+from repro.orchestrate.queue import TaskFailure
+from tests.test_transport import StubTransport, boot_fails
 
 
 CONFIG = SnowboardConfig(
@@ -71,39 +77,69 @@ class TestSerialParallelEquivalence:
         assert 0 < parallel.restore_fraction <= 1
 
 
+def fleet_stub(failed):
+    """A stand-in for ``Snowboard._run_transport_fleet``: runs every task
+    on the campaign executor, as a worker would, except the task ids in
+    ``failed``, whose value (a ``TaskFailure``, or ``None`` for no result
+    at all) is what the fleet hands the merge instead."""
+
+    def run(self, todo, campaign, scheduler_kind, trials, workers, fleet):
+        results = {}
+        for index, test in todo:
+            if index in failed:
+                if failed[index] is not None:
+                    results[index] = failed[index]
+                continue
+            scheduler = self.make_scheduler(
+                test, seed=self.config.seed + index, kind=scheduler_kind
+            )
+            task = self._task(index, test, scheduler_kind, trials)
+            results[index] = run_task_trials(self.executor, task, scheduler)
+        return results
+
+    return run
+
+
+class BootFailingTransport(StubTransport):
+    """Stands in for ``MultiprocessingTransport``: every worker it
+    spawns reports that its kernel failed to boot."""
+
+    def __init__(self, spec, start_method=None):
+        super().__init__([{"on_spawn": boot_fails}])
+
+
 class TestFailureSurfacing:
     def test_crashed_task_counted_not_merged(self, monkeypatch):
+        failure = TaskFailure(task_id=1, message="injected worker crash", attempts=2)
+        monkeypatch.setattr(Snowboard, "_run_transport_fleet", fleet_stub({1: failure}))
         sb = Snowboard(CONFIG).prepare()
-        original = Snowboard._run_test_trials
-
-        def crashy(self, executor, task: Stage4Task):
-            if task.task_id == 1:
-                raise RuntimeError("injected worker crash")
-            return original(self, executor, task)
-
-        monkeypatch.setattr(Snowboard, "_run_test_trials", crashy)
         campaign = sb.run_campaign("S-INS-PAIR", test_budget=4, workers=2)
         assert campaign.task_failures == 1
         # The crashed task still consumes its test index, so positions of
         # later finds stay aligned with a serial run.
         assert campaign.tested_pmcs == 4
         assert campaign.summary()["task_failures"] == 1
-        # The deterministic crash was retried before being given up on.
-        assert campaign.task_retries >= 1
+        serial = Snowboard(CONFIG).prepare().run_campaign("S-INS-PAIR", test_budget=4)
+        indexes = {r.test_index for r in campaign.records}
+        assert 1 not in indexes and max(indexes) > 1
+        assert [
+            (r.test_index, r.trial, r.observation.key)
+            for r in campaign.records
+            if r.test_index == 0
+        ] == [
+            (r.test_index, r.trial, r.observation.key)
+            for r in serial.records
+            if r.test_index == 0
+        ]
 
     def test_all_factories_crash_campaign_terminates(self, monkeypatch):
         """Every worker boot fails: the campaign must complete cleanly
         with one task failure per test — no hang, no TypeError from the
         merge loop iterating a missing result."""
+        monkeypatch.setattr(
+            transport_mod, "MultiprocessingTransport", BootFailingTransport
+        )
         sb = Snowboard(CONFIG).prepare()
-
-        def broken_factory(self):
-            def factory():
-                raise RuntimeError("VM refused to boot")
-
-            return factory
-
-        monkeypatch.setattr(Snowboard, "_stage4_worker_factory", broken_factory)
         campaign = sb.run_campaign("S-INS-PAIR", test_budget=5, workers=3)
         assert campaign.task_failures == 5
         assert campaign.tested_pmcs == 5
@@ -111,59 +147,46 @@ class TestFailureSurfacing:
         assert campaign.worker_respawns > 0
         assert campaign.summary()["task_failures"] == 5
 
-    def test_transient_worker_death_is_contained(self, monkeypatch):
-        """A worker dying mid-task (BaseException) is respawned and the
-        task re-executed deterministically — the campaign result is
+    def test_transient_worker_death_is_contained(self, tmp_path):
+        """A worker dying mid-task (SIGKILL) is respawned and the task
+        re-executed deterministically — the campaign result is
         bit-identical to an undisturbed serial run."""
-        serial = Snowboard(CONFIG).prepare().run_campaign(
+        # Fast liveness: the death is noticed at the heartbeat deadline.
+        config = dataclasses.replace(
+            CONFIG, fleet_heartbeat_interval=0.1, fleet_heartbeat_timeout=1.5
+        )
+        serial = Snowboard(config).prepare().run_campaign(
             "S-INS-PAIR", test_budget=4
         )
-
-        class WorkerDeath(BaseException):
-            pass
-
-        sb = Snowboard(CONFIG).prepare()
-        original = Snowboard._run_test_trials
-        state = {"killed": False}
-
-        def dying(self, executor, task: Stage4Task):
-            if task.task_id == 2 and not state["killed"]:
-                state["killed"] = True
-                raise WorkerDeath()
-            return original(self, executor, task)
-
-        monkeypatch.setattr(Snowboard, "_run_test_trials", dying)
+        sb = Snowboard(config).prepare()
+        sb.fleet_fault = FleetFault(
+            kill_task_id=2, once_marker=str(tmp_path / "kill.marker")
+        )
         campaign = sb.run_campaign("S-INS-PAIR", test_budget=4, workers=2)
         assert campaign.task_failures == 0
         assert campaign.worker_respawns == 1
         assert campaign.task_retries == 1
         assert campaign.summary() == serial.summary()
 
-    def test_missing_result_treated_as_task_failure(self):
-        """A result dict without an entry for a task (dead worker pool
+    def test_missing_result_treated_as_task_failure(self, monkeypatch):
+        """A fleet result without an entry for a task (dead worker pool
         edge) must count as a failure, not crash the merge."""
+        monkeypatch.setattr(
+            Snowboard, "_run_transport_fleet", fleet_stub({0: None, 1: None})
+        )
         sb = Snowboard(CONFIG).prepare()
-        tests, _ = sb.generate_tests("S-INS-PAIR", limit=2)
-        from repro.orchestrate.results import CampaignResult
-
-        campaign = CampaignResult(strategy="t", workers=2)
-        import repro.orchestrate.pipeline as pipeline_mod
-
-        def no_results(work, factory, nworkers, **kwargs):
-            return {}  # simulate: nothing ever completed
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline_mod, "run_workers", no_results)
-            sb.execute_tests_parallel(tests[:2], campaign, workers=2)
+        campaign = sb.run_campaign("S-INS-PAIR", test_budget=2, workers=2)
         assert campaign.task_failures == 2
         assert campaign.tested_pmcs == 2
+        assert campaign.trials == 0
 
 
 class TestIncidentalAdoptionParallel:
     def test_parallel_matches_serial_with_incidental_adoption(self):
-        """adopt_incidental_pmcs shares the pair index across worker
-        threads; it is precomputed before the fleet spawns, so parallel
-        campaigns stay bit-identical to serial ones."""
+        """adopt_incidental_pmcs needs the pair index, which fleet
+        workers lack; it is precomputed before dispatch and the universe
+        shipped with each task, so parallel campaigns stay bit-identical
+        to serial ones."""
         config = SnowboardConfig(
             seed=7,
             corpus_budget=100,

@@ -1,12 +1,21 @@
 """Focused tests for pipeline internals and scheduler selection."""
 
+import dataclasses
+
 import pytest
 
-from repro.orchestrate.pipeline import ConcurrentTest, Snowboard, SnowboardConfig
-from repro.orchestrate.queue import TaskFailure, WorkQueue, run_workers
+from repro.orchestrate.fleet import TaskEnvelope, WorkerSpec, _execute_envelope
+from repro.orchestrate.pipeline import (
+    ConcurrentTest,
+    Snowboard,
+    SnowboardConfig,
+    build_scheduler,
+)
+from repro.orchestrate.queue import TaskFailure
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.ski import SkiScheduler
 from repro.sched.snowboard import SnowboardScheduler
+from tests.test_transport import StubTransport, hello, make_coordinator
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,10 @@ class TestSchedulerSelection:
     def test_random_kind(self, sb):
         scheduler = sb.make_scheduler(self._one_test(sb), seed=0, kind="random")
         assert isinstance(scheduler, RandomScheduler)
+
+    def test_unknown_kind_rejected(self, sb):
+        with pytest.raises(ValueError, match="unknown scheduler kind"):
+            build_scheduler(sb.config, self._one_test(sb), seed=0, kind="nope")
 
     def test_baseline_tests_get_random_scheduler(self, sb):
         from repro.orchestrate.pipeline import RANDOM_PAIRING
@@ -82,26 +95,45 @@ class TestTestsFromExemplars:
 
 
 class TestQueueRobustness:
-    def test_worker_survives_task_exception(self):
-        def factory():
-            def execute(x):
-                if x == 2:
-                    raise RuntimeError("task 2 explodes")
-                return x * 10
+    def test_worker_survives_task_exception(self, sb):
+        """A task that raises inside the fleet worker body comes back as
+        a task error, not an exception: the worker serves the tasks after
+        it, and the coordinator strands none of them."""
+        tests, _ = sb.generate_tests("S-INS-PAIR", limit=5)
+        envelopes = [
+            TaskEnvelope.from_task(sb._task(i, test, "snowboard", 2))
+            for i, test in enumerate(tests)
+        ]
+        # An unknown scheduler kind makes the worker's build_scheduler raise.
+        envelopes[2] = dataclasses.replace(envelopes[2], scheduler_kind="nope")
+        spec = WorkerSpec(config=sb.config)
 
-            return execute
+        def run_in_worker(handle, envelope):
+            handle.emit(
+                _execute_envelope(
+                    sb.executor, spec, handle.worker_id, envelope, handle.generation
+                )
+            )
 
-        work = WorkQueue()
-        for i in range(5):
-            work.put(i)
-        results = run_workers(work, factory, nworkers=2)
-        assert results[0] == 0 and results[4] == 40
+        transport = StubTransport([{"on_spawn": hello, "on_task": run_in_worker}])
+        # Stub workers run tasks inline and never beat: a generous
+        # heartbeat deadline keeps real trials from looking like deaths.
+        coordinator = make_coordinator(
+            transport, nworkers=2, max_task_retries=0, heartbeat_timeout=60.0
+        )
+        results = coordinator.run(envelopes)
+        assert len(results) == 5  # nothing stranded
+        for i in (0, 1, 3, 4):
+            assert results[i].status == "ok"
+            assert len(results[i].decode()[0]) == 2  # both trials ran
         # Failures arrive wrapped, so a task legitimately *returning* an
         # exception object stays distinguishable from a worker crash.
         assert isinstance(results[2], TaskFailure)
         assert results[2].task_id == 2
-        assert isinstance(results[2].error, RuntimeError)
-        assert len(results) == 5  # nothing stranded
+        assert isinstance(results[2].error, ValueError)
+        assert "unknown scheduler kind" in results[2].message
+        assert sum(s.tasks_done for s in coordinator.worker_stats) == 4
+        assert sum(s.respawns for s in coordinator.worker_stats) == 0
 
 
 class TestIterativeCampaign:

@@ -13,7 +13,7 @@ contract at three levels:
   streams compared field-for-field against from-boot streams, including
   a switch at the very first instruction and a panic inside the prefix;
 * campaign: memo-on and memo-off summaries are identical across the
-  serial, thread-fleet and process-fleet paths, while the
+  serial, process-fleet and socket-fleet paths, while the
   history-dependent savings counters are visible and quarantined from
   funnel equivalence.
 """
@@ -334,12 +334,12 @@ class TestPlanTrials:
         test_obj = ConcurrentTest(
             writer=writer, reader=reader, writer_test=0, reader_test=1, pmc=pmc
         )
-        full, _ = run_task_trials(
+        full, _, _ = run_task_trials(
             executor,
             Stage4Task(task_id=0, test=test_obj, trials=24, prune_commuting=False),
             SnowboardScheduler(pmc, seed=5),
         )
-        pruned, _ = run_task_trials(
+        pruned, _, _ = run_task_trials(
             executor,
             Stage4Task(task_id=0, test=test_obj, trials=24, prune_commuting=True),
             SnowboardScheduler(pmc, seed=5),
@@ -353,7 +353,7 @@ class TestPlanTrials:
 # -- campaign-level invisibility and savings counters -------------------------
 
 
-def run_summary(workers=1, fleet="threads", **overrides):
+def run_summary(workers=1, fleet=None, **overrides):
     config = SnowboardConfig(**GOLDEN_CONFIG, **overrides)
     campaign = Snowboard(config).run_campaign(
         "S-INS-PAIR", test_budget=TEST_BUDGET, workers=workers, fleet=fleet
@@ -369,8 +369,8 @@ class TestCampaignEquivalence:
     def test_serial_memo_on_equals_memo_off(self, memo_off):
         assert run_summary() == memo_off
 
-    def test_thread_fleet_memo_on_equals_memo_off(self, memo_off):
-        assert run_summary(workers=2) == memo_off
+    def test_socket_fleet_memo_on_equals_memo_off(self, memo_off):
+        assert run_summary(workers=2, fleet="sockets") == memo_off
 
     def test_process_fleet_memo_on_equals_memo_off(self, memo_off):
         assert run_summary(workers=2, fleet="processes") == memo_off
@@ -416,8 +416,9 @@ class TestWireV2:
     def test_wire_version_bumped(self):
         # v2 added the memo knobs below; v3 added heartbeat/hello
         # envelopes and generation-stamped results for the transport
-        # layer.  The roundtrip tests in this class pin the v2 fields.
-        assert WIRE_VERSION == 3
+        # layer; v4 added the result's pruned count.  The roundtrip
+        # tests in this class pin the v2 fields.
+        assert WIRE_VERSION == 4
 
     def test_outcome_roundtrips_forked_flag(self):
         outcome = TrialOutcome(

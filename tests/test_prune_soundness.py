@@ -104,7 +104,7 @@ def observed_bugs(outcomes):
 
 def run_task(executor, test, prune, seed):
     task = Stage4Task(task_id=0, test=test, trials=TRIALS, prune_commuting=prune)
-    outcomes, _ = run_task_trials(executor, task, SnowboardScheduler(test.pmc, seed=seed))
+    outcomes, _, _ = run_task_trials(executor, task, SnowboardScheduler(test.pmc, seed=seed))
     return outcomes
 
 

@@ -28,6 +28,7 @@ import pytest
 
 from repro.obs import JsonlSink, Observer
 from repro.obs.stats import funnel_totals, load_stats
+from repro.orchestrate.persistence import record_digest
 from repro.orchestrate.pipeline import Snowboard
 from repro.service import (
     CANCELLED,
@@ -152,6 +153,8 @@ class TestJobSpec:
             {"lease_timeout": 0},
             {"heartbeat_interval": 0.0},
             {"heartbeat_timeout": -1.0},
+            {"strategy": "bogus"},
+            {"scheduler_kind": "nope"},
         ],
     )
     def test_rejects_invalid_values(self, bad):
@@ -512,6 +515,29 @@ class TestRegistry:
         assert set(third.jobs) == {first.job_id, second.job_id}
         assert third.job(second.job_id).tenant == "b"
         third.close()
+
+    def test_legacy_threads_spec_reopens_and_matches_solo(self, tmp_path, solo):
+        """Registries written while the thread fleet was the default hold
+        ``fleet: "threads"``; such a job reopens and still finishes equal
+        to its solo run."""
+        root = str(tmp_path / "svc")
+        registry = JobRegistry(root)
+        job = registry.submit("alice", JobSpec.from_obj(SPECS["alice"]))
+        registry.close()
+        path = os.path.join(root, "registry.jsonl")
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
+        for record in records:
+            record.pop("digest")
+            if record["kind"] == "submit":
+                record["job"]["spec"]["fleet"] = "threads"
+            record["digest"] = record_digest(record)
+        with open(path, "w") as handle:
+            handle.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        service = CampaignService(root)
+        drain(service)
+        assert service.summary(job.job_id) == solo["alice"]["summary"]
+        service.stop()
 
     def test_fork_copies_checkpoint_before_submit_record(self, tmp_path):
         # Crash contract: if the child's submit record made it into the

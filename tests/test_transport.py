@@ -24,6 +24,7 @@ from repro.orchestrate.fleet import (
     TaskEnvelope,
     WireFormatError,
     WorkerSpec,
+    _BootFailed,
 )
 from repro.orchestrate.socketfleet import (
     SocketTransport,
@@ -45,6 +46,7 @@ from repro.orchestrate.transport import (
     WorkerHandle,
 )
 from repro.orchestrate.pipeline import SnowboardConfig
+from repro.orchestrate.queue import TaskFailure
 
 
 def make_envelope(task_id: int) -> TaskEnvelope:
@@ -353,6 +355,96 @@ class TestHeartbeatLiveness:
         assert stats.heartbeats_missed == 0
         assert stats.respawns == 1
         assert stats.retries == 1
+
+
+# -- task errors -------------------------------------------------------------------
+
+
+def hello(handle) -> None:
+    handle.emit(HelloEnvelope(handle.worker_id, handle.generation))
+
+
+def boot_fails(handle) -> None:
+    """A worker whose private kernel fails to boot: it reports the
+    boot failure and never serves a task."""
+    handle.emit(
+        _BootFailed(
+            handle.worker_id,
+            handle.generation,
+            "RuntimeError",
+            "kernel boot failed",
+            "",
+        )
+    )
+
+
+def answer(fail_task_ids, calls):
+    """A worker body that reports ``task_error`` for the task ids in
+    ``fail_task_ids`` (each id's remaining failures) and ``ok`` otherwise."""
+
+    def on_task(handle, envelope):
+        task_id = envelope.task_id
+        calls.append(task_id)
+        if fail_task_ids.get(task_id, 0) > 0:
+            fail_task_ids[task_id] -= 1
+            handle.emit(
+                ResultEnvelope(
+                    task_id=task_id,
+                    worker_id=handle.worker_id,
+                    status="task_error",
+                    error_type="RuntimeError",
+                    message="injected task crash",
+                    generation=handle.generation,
+                )
+            )
+            return
+        handle.emit(
+            ResultEnvelope(
+                task_id=task_id,
+                worker_id=handle.worker_id,
+                status="ok",
+                generation=handle.generation,
+            )
+        )
+
+    return on_task
+
+
+class TestTaskErrors:
+    def test_task_error_retried_then_recorded_as_failure(self):
+        """A task that raises in a surviving worker is re-dispatched
+        ``max_task_retries`` times, then given up on as a TaskFailure
+        carrying its attempts; the worker lives on and the other tasks
+        complete."""
+        calls: List[int] = []
+        transport = StubTransport(
+            [{"on_spawn": hello, "on_task": answer({1: 99}, calls)}]
+        )
+        coordinator = make_coordinator(transport, max_task_retries=2)
+        results = coordinator.run([make_envelope(i) for i in range(3)])
+        failure = results[1]
+        assert isinstance(failure, TaskFailure)
+        assert failure.attempts == 3  # 1 initial + 2 retries
+        assert failure.error_type == "RuntimeError"
+        assert failure.message == "injected task crash"
+        assert results[0].status == "ok" and results[2].status == "ok"
+        assert calls.count(1) == 3
+        stats = coordinator.worker_stats[0]
+        assert stats.retries == 2
+        assert stats.respawns == 0
+        assert stats.tasks_done == 2
+        assert len(transport.spawned) == 1
+
+    def test_transient_task_error_recovers_on_retry(self):
+        calls: List[int] = []
+        transport = StubTransport(
+            [{"on_spawn": hello, "on_task": answer({0: 1}, calls)}]
+        )
+        coordinator = make_coordinator(transport, max_task_retries=1)
+        results = coordinator.run([make_envelope(0)])
+        assert results[0].status == "ok"
+        assert calls == [0, 0]
+        assert coordinator.worker_stats[0].retries == 1
 
 
 # -- socket framing ----------------------------------------------------------------
