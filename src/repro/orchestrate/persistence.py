@@ -109,8 +109,9 @@ class ReproPackage:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
+        """Publish the package at ``path`` with :func:`write_atomic`, so
+        a save cut short leaves the previous package there whole."""
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "ReproPackage":

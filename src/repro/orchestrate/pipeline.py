@@ -332,7 +332,7 @@ def run_task_trials(
                         # trials; skip the scan.
                         exercised = channel_exercised(test.pmc, result.accesses)
                     observations = tuple(observe(result))
-                    races = len(detector.reports())
+                    races = len(result.races)
                     outcomes.append(
                         TrialOutcome(
                             trial=trial,

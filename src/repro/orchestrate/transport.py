@@ -12,7 +12,7 @@ coordinator drive local processes and remote socket workers.
 Implementations:
 
 * :class:`MultiprocessingTransport` (here) — ``--fleet processes``:
-  local worker processes over ``multiprocessing`` queues.
+  local worker processes over ``multiprocessing`` queues and pipes.
 * :class:`~repro.orchestrate.socketfleet.SocketTransport` —
   ``--fleet sockets``: workers over TCP with length-prefixed JSON
   frames; workers may live on other machines and join via
@@ -21,8 +21,10 @@ Implementations:
 
 from __future__ import annotations
 
-import queue as stdqueue
-from typing import Any, Optional, Protocol, runtime_checkable
+import threading
+from collections import deque
+from multiprocessing.connection import wait as wait_readable
+from typing import Any, List, Optional, Protocol, runtime_checkable
 
 import multiprocessing as mp
 
@@ -107,39 +109,74 @@ class _ProcessHandle:
             self.inq = None
 
 
-class MultiprocessingTransport:
-    """Local worker processes over ``multiprocessing`` queues.
+class _ResultsPipe:
+    """A worker generation's end of its private results pipe.
 
-    One shared results queue (heartbeats and results interleave on it),
-    one private dispatch queue per worker generation — private so a task
+    The worker body calls ``put`` from its main thread (results) and its
+    heartbeat thread, so sends are serialised by a lock that lives and
+    dies with the worker process.  A ``multiprocessing.Queue`` shared by
+    every worker serialises its writers with a lock shared across
+    processes instead: a worker killed while holding it silences every
+    other worker for good.
+    """
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._lock = threading.Lock()
+
+    def __getstate__(self):
+        return self._conn  # the lock is per process: rebuilt on arrival
+
+    def __setstate__(self, conn) -> None:
+        self.__init__(conn)
+
+    def put(self, message: Any) -> None:
+        with self._lock:
+            self._conn.send(message)
+
+
+class MultiprocessingTransport:
+    """Local worker processes over ``multiprocessing`` queues and pipes.
+
+    Each worker generation gets a private dispatch queue, so a task
     dispatched to a dead worker can never be double-claimed by its
-    successor.
+    successor, and a private results pipe (heartbeats and results
+    interleave on it), so a worker that dies mid-send breaks only its
+    own channel.
     """
 
     def __init__(self, spec: WorkerSpec, start_method: str = "spawn"):
         self.spec = spec
         self._ctx = mp.get_context(start_method)
-        self._results_q = self._ctx.Queue()
+        self._readers: List[Any] = []
+        self._inbox: deque = deque()
 
     def spawn(self, worker_id: int, generation: int) -> _ProcessHandle:
         inq = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=fleet_worker_main,
-            args=(worker_id, generation, self.spec, inq, self._results_q),
+            args=(worker_id, generation, self.spec, inq, _ResultsPipe(writer)),
             daemon=True,
         )
         process.start()
+        writer.close()  # the worker holds the only write end: its exit reads as EOF
+        self._readers.append(reader)
         return _ProcessHandle(process, inq)
 
     def recv(self, timeout: float) -> Optional[Any]:
-        try:
-            if timeout <= 0:
-                return self._results_q.get_nowait()
-            return self._results_q.get(timeout=timeout)
-        except stdqueue.Empty:
-            return None
+        if not self._inbox:
+            for reader in wait_readable(self._readers, max(timeout, 0.0)):
+                try:
+                    self._inbox.append(reader.recv())
+                except (EOFError, OSError):
+                    # The worker exited, or died mid-message: its channel
+                    # is done, and the heartbeat path handles the death.
+                    self._readers.remove(reader)
+                    reader.close()
+        return self._inbox.popleft() if self._inbox else None
 
     def close(self) -> None:
-        # Queues are reclaimed by GC; joining the feeder here would block
-        # on any unread late messages, which are legitimate after a kill.
-        self._results_q = None
+        for reader in self._readers:
+            reader.close()
+        self._readers = []

@@ -107,6 +107,43 @@ class TestReproPackage:
         restored = ReproPackage.load(str(path))
         assert restored.bug_id == "SB11"
 
+    def test_interrupted_save_keeps_the_old_package(self, tmp_path, monkeypatch):
+        """A save cut short mid-write, as when the service daemon is
+        killed while it finalizes a job, leaves the package it was
+        replacing loadable."""
+        import builtins
+
+        from repro.orchestrate import persistence
+
+        path = str(tmp_path / "SB11.json")
+        writer, reader = prog(Call("mkdir", (2,))), prog(Call("lookup", (2,)))
+        old = ReproPackage("SB11", writer, reader, switch_points=[3])
+        old.save(path)
+
+        class TornWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                raise OSError("killed mid-write")
+
+        def torn_open(*args, **kwargs):
+            return TornWrite(builtins.open(*args, **kwargs))
+
+        monkeypatch.setattr(persistence, "open", torn_open, raising=False)
+        new = ReproPackage("SB11", writer, reader, switch_points=[5, 9])
+        with pytest.raises(OSError):
+            new.save(path)
+        monkeypatch.undo()
+        assert ReproPackage.load(path) == old
+
 
 @pytest.fixture(scope="module")
 def race_package():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import queue as stdqueue
 import socket
+import time
 from typing import List
 
 import pytest
@@ -164,6 +165,42 @@ class TestProtocolConformance:
             assert isinstance(transport, Transport)
             assert isinstance(transport.spawn(0, 1), WorkerHandle)
         finally:
+            transport.close()
+
+
+def heard(transport, worker_id: int, count: int, timeout: float = 20.0) -> bool:
+    """True once ``count`` messages from ``worker_id`` arrive in time."""
+    deadline = time.monotonic() + timeout
+    while count and time.monotonic() < deadline:
+        msg = transport.recv(0.05)
+        if msg is not None and msg.worker_id == worker_id:
+            count -= 1
+    return count == 0
+
+
+class TestProcessResultsChannel:
+    def test_worker_killed_mid_send_does_not_silence_the_others(self):
+        """Workers that beat without pause are sending nearly all the
+        time, so a SIGKILL catches each victim mid-send.  The survivor
+        must still be heard after every kill, well past what the channel
+        buffered before it: a results queue shared by every worker stays
+        locked by the first victim that died holding its write lock."""
+        transport = MultiprocessingTransport(
+            WorkerSpec(config=SnowboardConfig(), heartbeat_interval=0.0)
+        )
+        handles = [transport.spawn(0, 1)]
+        try:
+            for generation in range(1, 11):
+                victim = transport.spawn(1, generation)
+                handles.append(victim)
+                assert heard(transport, 1, 50)  # the victim is flooding
+                victim.kill()
+                victim.join()
+                assert heard(transport, 0, 2000), f"silent after kill {generation}"
+        finally:
+            for handle in handles:
+                handle.kill()
+                handle.join()
             transport.close()
 
 
