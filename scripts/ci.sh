@@ -9,8 +9,8 @@
 #   lint    — step 0 only
 #   tests   — steps 1-2 (tier-1 + the -O pass)
 #   smokes  — steps 3-8 (CLI smoke + every kill-and-resume smoke)
-#   perf    — step 9 (the bench gate, unconditionally)
-#   all     — steps 0-8, plus step 9 when PERF=1 (the default)
+#   perf    — step 9 only (the paired benchmark compare)
+#   all     — steps 0-8 (the default)
 #
 #  0. lint       — ruff over src/tests/benchmarks/scripts.  Missing ruff
 #                  is a warn-and-skip locally but a hard failure when
@@ -68,14 +68,16 @@
 #                  mid-campaign and restarted on the same data dir, and
 #                  both final summaries must be bit-identical to solo
 #                  run_rounds campaigns.
-#  9. perf gate  — leg `perf` (or PERF=1 with `all`): the quick-mode
-#                  hot-path, incremental-engine, fleet, PMC-store and
-#                  trial-memo benchmarks fail on a >20% regression
-#                  against the baselines in BENCH_hot_path.json /
-#                  BENCH_incremental.json / BENCH_fleet.json /
-#                  BENCH_pmc_store.json / BENCH_trial_memo.json; the
-#                  updated trajectory JSONs are copied into
-#                  $ARTIFACTS_DIR.
+#  9. perf       — leg `perf` only: scripts/perf_compare.py runs every
+#                  BENCHMARK.json workload as five alternating pairs of
+#                  the commit $PERF_BASE (default HEAD) and the working
+#                  tree.  It fails a metric whose head median is worse
+#                  than the base median by more than its bound and by
+#                  more than the base IQR, and any incorrect run; its
+#                  JSON report lands in $ARTIFACTS_DIR/perf_compare.json.
+#                  Exit 2 means the benchmark itself changed between the
+#                  two trees and nothing was measured.  For fewer pairs
+#                  by hand, run scripts/perf_compare.py --pairs K.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -164,14 +166,10 @@ if [[ "$LEG" == "smokes" || "$LEG" == "all" ]]; then
     python scripts/smoke_service.py "$ARTIFACTS_DIR/smoke_service_data"
 fi
 
-if [[ "$LEG" == "perf" || ( "$LEG" == "all" && "${PERF:-0}" == "1" ) ]]; then
-    echo "== perf gate: scripts/bench_gate.py (quick mode) =="
-    python scripts/bench_gate.py
-    cp BENCH_hot_path.json "$ARTIFACTS_DIR/BENCH_hot_path.json"
-    cp BENCH_incremental.json "$ARTIFACTS_DIR/BENCH_incremental.json"
-    cp BENCH_fleet.json "$ARTIFACTS_DIR/BENCH_fleet.json"
-    cp BENCH_pmc_store.json "$ARTIFACTS_DIR/BENCH_pmc_store.json"
-    cp BENCH_trial_memo.json "$ARTIFACTS_DIR/BENCH_trial_memo.json"
+if [[ "$LEG" == "perf" ]]; then
+    echo "== perf: paired benchmark compare against ${PERF_BASE:-HEAD} =="
+    python scripts/perf_compare.py --base "${PERF_BASE:-HEAD}" \
+        --out "$ARTIFACTS_DIR/perf_compare.json"
 fi
 
 echo "ci: leg '$LEG' green (artifacts in $ARTIFACTS_DIR/)"

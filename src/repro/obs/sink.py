@@ -71,11 +71,14 @@ class JsonlSink:
     The header record is written eagerly on construction so that even a
     campaign killed during Stage 1 leaves an identifiable trace behind.
 
-    ``append=True`` reopens an existing trace instead of truncating it
-    and writes the header only when the file is empty or missing — the
-    campaign-service restart path, where one job's trace spans several
-    daemon lifetimes and must stay a single-header stream for
-    :func:`read_trace`.
+    ``append=True`` reopens an existing trace instead of truncating it —
+    the campaign-service restart path, where one job's trace spans
+    several daemon lifetimes and must stay a single-header stream for
+    :func:`read_trace`.  It first cuts a torn final line (see
+    :func:`_cut_torn_tail`) and then writes the header only when nothing
+    is left, so a header torn by the kill is written again.  ``resumed``
+    records which happened: True when the trace continues earlier
+    records, False when this sink wrote its header.
     """
 
     enabled = True
@@ -84,9 +87,9 @@ class JsonlSink:
         self, path: str, header: Optional[Dict] = None, append: bool = False
     ):
         self.path = path
-        resumed = append and os.path.exists(path) and os.path.getsize(path) > 0
+        self.resumed = append and _cut_torn_tail(path) > 0
         self._handle = open(path, "a" if append else "w", encoding="utf-8")
-        if not resumed:
+        if not self.resumed:
             record = {"kind": "header", "schema": SCHEMA_VERSION}
             record.update(header or {})
             self.emit(record)
@@ -98,6 +101,34 @@ class JsonlSink:
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
+
+
+def _cut_torn_tail(path: str) -> int:
+    """Cut ``path`` back to just after its last newline; its new size.
+
+    A writer killed mid-record leaves a partial final line.  A record
+    appended after it would be glued onto that line, and
+    :func:`read_trace` would stop there and drop every record after it.
+    The scan reads backwards from the end, so a long trace costs one
+    block.  A missing file counts as empty.
+    """
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return 0
+    with handle:
+        size = keep = handle.seek(0, os.SEEK_END)
+        while keep > 0:
+            step = min(keep, 4096)
+            handle.seek(keep - step)
+            newline = handle.read(step).rfind(b"\n")
+            if newline >= 0:
+                keep += newline + 1 - step
+                break
+            keep -= step
+        if keep < size:
+            handle.truncate(keep)
+    return keep
 
 
 class TeeSink:
@@ -130,7 +161,8 @@ def read_trace(path: str) -> Tuple[Dict, List[Dict]]:
     """Read a JSONL trace: (header, records after the header).
 
     Tolerates a torn final line (the writing campaign was killed
-    mid-record) by discarding it, exactly like the checkpoint loader.
+    mid-record) by discarding it, exactly like the checkpoint loader: a
+    line without its trailing newline is torn even when it parses.
     Raises :class:`TraceError` when the file has no header record or the
     header's schema version is unknown.
     """
@@ -138,13 +170,15 @@ def read_trace(path: str) -> Tuple[Dict, List[Dict]]:
     events: List[Dict] = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
+            if not line.endswith("\n"):
+                break  # torn tail: keep the valid prefix
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                break  # torn tail: keep the valid prefix
+                break
             if header is None:
                 if record.get("kind") != "header":
                     raise TraceError(

@@ -399,7 +399,15 @@ def _make_handler(service: CampaignService):
             return number
 
         def _body(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = self._int_param(
+                    self.headers.get("Content-Length") or 0, "Content-Length"
+                )
+            except ServiceError:
+                # The body's end is unknown: its bytes must not be read
+                # as the next request on this connection.
+                self.close_connection = True
+                raise
             if length == 0:
                 return {}
             try:

@@ -20,7 +20,7 @@ preemption unit).  Terminal states never transition again.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Optional
 
 from repro.orchestrate.pipeline import (
@@ -55,6 +55,17 @@ VALID_TRANSITIONS: Dict[str, frozenset] = {
 
 class InvalidTransition(ValueError):
     """The requested lifecycle edge is not in :data:`VALID_TRANSITIONS`."""
+
+
+#: The JSON type each :class:`JobSpec` annotation admits, and its name in
+#: errors.  A spec arrives as JSON, so nothing else checks these; a
+#: ``bool`` is never an integer or a number here.
+_SPEC_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,14 @@ class JobSpec:
     heartbeat_timeout: Optional[float] = None
 
     def validate(self) -> None:
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            kind = spec_field.type.removeprefix("Optional[").removesuffix("]")
+            if value is None and kind != spec_field.type:
+                continue
+            types, label = _SPEC_TYPES[kind]
+            if isinstance(value, bool) and kind != "bool" or not isinstance(value, types):
+                raise ValueError(f"{spec_field.name} must be {label}, got {value!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if self.round_budget < 1:
@@ -115,6 +134,10 @@ class JobSpec:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("corpus_budget", "corpus_growth", "max_instructions"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
 
     def config(self) -> SnowboardConfig:
         """The pipeline config this spec describes."""
@@ -152,6 +175,14 @@ class JobSpec:
 
     @classmethod
     def from_obj(cls, obj: Dict) -> "JobSpec":
+        spec = cls.read(obj)
+        spec.validate()
+        return spec
+
+    @classmethod
+    def read(cls, obj: Dict) -> "JobSpec":
+        """The spec ``obj`` names, not validated: the registry replays
+        specs an older daemon accepted and this one may reject."""
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:
@@ -161,9 +192,7 @@ class JobSpec:
             # so every older registry journal (and older client) says it;
             # the fleet kind never changes results, so it reads as unset.
             obj = {**obj, "fleet": None}
-        spec = cls(**obj)
-        spec.validate()
-        return spec
+        return cls(**obj)
 
     def extended(self, rounds: int) -> "JobSpec":
         """The same spec with a (possibly larger) round target — the
@@ -218,7 +247,7 @@ class CampaignJob:
         return cls(
             job_id=str(obj["job_id"]),
             tenant=str(obj["tenant"]),
-            spec=JobSpec.from_obj(obj["spec"]),
+            spec=JobSpec.read(obj["spec"]),
             state=str(obj.get("state", PENDING)),
             rounds_done=int(obj.get("rounds_done", 0)),
             error=str(obj.get("error", "")),

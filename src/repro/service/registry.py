@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.orchestrate.persistence import record_digest
 from repro.service.jobs import (
+    FAILED,
     PENDING,
     RUNNING,
     CampaignJob,
@@ -103,6 +104,14 @@ class JobRegistry:
         for job in self.jobs.values():
             if job.state == RUNNING:
                 job.state = PENDING
+            if not job.terminal:
+                # A daemon from before JobSpec.validate checked field
+                # types journalled whatever it was sent; such a job fails
+                # here rather than mid-turn or, worse, running misread.
+                try:
+                    job.spec.validate()
+                except ValueError as error:
+                    job.state, job.error = FAILED, f"invalid spec: {error}"
         return valid
 
     def _apply(self, obj: Dict) -> None:

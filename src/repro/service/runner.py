@@ -57,7 +57,6 @@ class JobRunner:
             return self._snowboard
         job = self.job
         trace_path = self.registry.trace_path(job.job_id)
-        resumed = os.path.exists(trace_path) and os.path.getsize(trace_path) > 0
         sink = JsonlSink(
             trace_path,
             header={
@@ -67,6 +66,7 @@ class JobRunner:
             },
             append=True,
         )
+        resumed = sink.resumed
         if self._mirror is not None:
             sink = TeeSink(sink, self._mirror)
         self._observer = Observer(sink)

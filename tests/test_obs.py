@@ -168,6 +168,45 @@ class TestJsonlRoundTrip:
         header, events = read_trace(path)
         assert [e["name"] for e in events] == ["kept"]
 
+    def test_torn_tail_is_cut_before_new_appends(self, tmp_path):
+        # A reopened trace must cut its torn tail: the next record glued
+        # onto the partial line would make read_trace stop there and
+        # silently drop every record after it.
+        path = str(tmp_path / "trace.jsonl")
+        sink = JsonlSink(path, header={"seed": 7})
+        sink.emit({"kind": "event", "name": "1", "attrs": {}})
+        sink.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "event", "name": "2", "at')  # torn mid-record
+        sink = JsonlSink(path, header={"seed": 7}, append=True)
+        assert sink.resumed  # the whole header survived: no second one
+        sink.emit({"kind": "event", "name": "3", "attrs": {}})
+        sink.emit({"kind": "event", "name": "4", "attrs": {}})
+        sink.close()
+        header, events = read_trace(path)
+        assert header["seed"] == 7
+        assert [e["name"] for e in events] == ["1", "3", "4"]
+
+    def test_torn_header_is_written_again_on_append(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"kind": "header", "sch')  # killed mid-header
+        sink = JsonlSink(path, header={"seed": 7}, append=True)
+        assert not sink.resumed  # nothing earlier to continue from
+        sink.emit({"kind": "event", "name": "kept", "attrs": {}})
+        sink.close()
+        header, events = read_trace(path)
+        assert header["seed"] == 7
+        assert [e["name"] for e in events] == ["kept"]
+
+    def test_unterminated_final_line_is_torn_even_if_it_parses(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        sink = JsonlSink(path, header={"seed": 7})
+        sink.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"kind": "event", "name": "torn"}))  # no newline
+        assert read_trace(path)[1] == []
+
     def test_missing_header_raises(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w", encoding="utf-8") as handle:

@@ -12,7 +12,8 @@ every bug the full budget detects, the pruned budget must detect too.
 The structural half of the guarantee — surviving trials run with
 unchanged seeds, so the pruned outcome stream is a prefix of the full
 one — is also pinned here, per pair, which is what makes yield loss
-*beyond* the cut impossible by construction.
+*beyond* the cut impossible by construction.  At the end, one campaign
+pins what pruning and prefix forking save together, as exact counts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ import pytest
 from repro.detect.catalog import match_observations
 from repro.fuzz.prog import Call, Res, prog
 from repro.kernel.kernel import boot_kernel
-from repro.orchestrate.pipeline import ConcurrentTest, Stage4Task, run_task_trials
+from repro.orchestrate.pipeline import (
+    ConcurrentTest,
+    Snowboard,
+    SnowboardConfig,
+    Stage4Task,
+    run_task_trials,
+)
 from repro.pmc.identify import identify_pmcs
 from repro.profile.profiler import profile_from_result
 from repro.sched.executor import Executor
@@ -89,7 +96,9 @@ PAIRS = {
     ),
     "SB17": (
         prog(Call("socket", (1,)), Call("setsockopt", (Res(0), 3, 0)), Call("close", (Res(0),))),
-        prog(Call("socket", (1,)), Call("setsockopt", (Res(0), 3, 0)), Call("sendmsg", (Res(0), 1))),
+        prog(
+            Call("socket", (1,)), Call("setsockopt", (Res(0), 3, 0)), Call("sendmsg", (Res(0), 1))
+        ),
     ),
 }
 
@@ -179,3 +188,29 @@ def test_pruning_actually_prunes(hunts):
 def test_every_catalog_bug_has_a_pair_here():
     for i in range(1, 18):
         assert f"SB{i:02d}" in PAIRS
+
+
+def test_memoized_pruned_campaign_cuts_instructions_per_observation():
+    """The campaign-level figure, as exact counts: prefix forking plus
+    pruning runs 54 of 160 trials and 9,215 of 29,101 instructions for
+    the same 10 observations and the same bug table, 68.3% fewer
+    instructions per observation."""
+
+    def campaign(optimised):
+        config = SnowboardConfig(
+            seed=7,
+            corpus_budget=120,
+            trials_per_pmc=24,
+            prefix_fork=optimised,
+            prune_commuting=optimised,
+        )
+        return Snowboard(config).prepare().run_campaign("S-INS-PAIR", test_budget=10)
+
+    full, pruned = campaign(False), campaign(True)
+    full_summary, pruned_summary = full.summary(), pruned.summary()
+    assert (full.trials, full.instructions, full_summary["observations"]) == (160, 29_101, 10)
+    assert (pruned.trials, pruned.instructions, pruned_summary["observations"]) == (54, 9_215, 10)
+    assert pruned_summary["bugs"] == full_summary["bugs"]
+    full_ipo = full.instructions / full_summary["observations"]
+    pruned_ipo = pruned.instructions / pruned_summary["observations"]
+    assert round(100 * (1 - pruned_ipo / full_ipo), 1) == 68.3

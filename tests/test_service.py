@@ -155,11 +155,28 @@ class TestJobSpec:
             {"heartbeat_timeout": -1.0},
             {"strategy": "bogus"},
             {"scheduler_kind": "nope"},
+            # Mistyped fields: before types were checked each of these
+            # was accepted, then failed mid-turn or ran misread.
+            {"trials": 2.5},
+            {"seed": "abc"},
+            {"round_budget": 1.5},
+            {"rounds": True},
+            {"prefix_fork": "no"},
+            {"corpus_budget": -5},
+            {"seed": None},
+            {"strategy": 7},
+            {"lease_timeout": True},
         ],
     )
     def test_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):
             JobSpec.from_obj(bad)
+
+    def test_accepts_integer_timeouts_and_unset_options(self):
+        spec = JobSpec.from_obj(
+            {"lease_timeout": 60, "corpus_growth": None, "fleet": None}
+        )
+        assert spec.config().fleet_lease_timeout == 60
 
     def test_growth_matches_run_rounds_default(self):
         # run_rounds defaults growth to half the corpus budget; the spec
@@ -515,6 +532,27 @@ class TestRegistry:
         assert set(third.jobs) == {first.job_id, second.job_id}
         assert third.job(second.job_id).tenant == "b"
         third.close()
+
+    def test_mistyped_spec_from_an_older_daemon_reopens_failed(self, tmp_path):
+        """A daemon from before JobSpec checked types journalled mistyped
+        specs.  The registry must still reopen, with that job failed and
+        the others untouched."""
+        root = str(tmp_path / "svc")
+        registry = JobRegistry(root)
+        good = registry.submit("a", JobSpec())
+        registry.close()
+        job = CampaignJob(job_id="job-0002", tenant="b", spec=JobSpec(), submit_seq=2)
+        record = {"kind": "submit", "job": job.to_obj()}
+        record["job"]["spec"]["trials"] = 2.5
+        record["digest"] = record_digest(record)
+        with open(os.path.join(root, "registry.jsonl"), "a") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        service = CampaignService(root)
+        status = service.status(job.job_id)
+        assert status["state"] == FAILED
+        assert "trials must be an integer" in status["error"]
+        assert service.status(good.job_id)["state"] == PENDING
+        service.stop()
 
     def test_legacy_threads_spec_reopens_and_matches_solo(self, tmp_path, solo):
         """Registries written while the thread fleet was the default hold

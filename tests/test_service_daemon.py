@@ -11,6 +11,7 @@ and graceful SIGTERM shutdown.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -223,6 +224,22 @@ def test_malformed_numbers_are_client_errors(tmp_path):
                 {"snapshot": "snap-0001", "tenant": "x", "rounds": "x"},
             )
         assert err.value.status == 400
+        with pytest.raises(ServiceClientError) as err:
+            client.submit("x", {"trials": 2.5})
+        assert err.value.status == 400
+        # ServiceClient always sends a correct Content-Length; a bad one
+        # answered 500 ("abc") or hung the handler until hang-up ("-1").
+        for length in ("abc", "-1"):
+            conn = http.client.HTTPConnection(daemon.host, daemon.port, timeout=5)
+            try:
+                conn.putrequest("POST", "/jobs")
+                conn.putheader("Content-Length", length)
+                conn.endheaders(b'{"tenant": "x"}')
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 400, length
+            finally:
+                conn.close()
     finally:
         daemon._httpd.shutdown()
         thread.join(timeout=10)
