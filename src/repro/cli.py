@@ -411,7 +411,6 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from repro.obs.sink import TraceError
     from repro.obs.stats import load_stats, render_stats, stats_to_obj
 
     try:
@@ -419,7 +418,7 @@ def _cmd_stats(args) -> int:
     except FileNotFoundError:
         print(f"error: no such trace file: {args.trace}", file=sys.stderr)
         return 2
-    except TraceError as error:
+    except ValueError as error:  # no header, unknown schema, damaged line
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.json:

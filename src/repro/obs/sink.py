@@ -11,20 +11,20 @@ One record is one JSON-ready dict with a ``kind`` discriminator:
   counter records of the checkpoint journal.
 * ``event``   — a point event (no duration), e.g. a worker respawn.
 
-:class:`JsonlSink` appends records to a JSONL trace file in the same
-append-only, torn-tail-tolerant style as the checkpoint journal: each
-record is flushed as one line, so a killed campaign leaves a valid
-prefix behind and :func:`read_trace` silently discards a torn final
-line.  :class:`MemorySink` buffers records in a list (the per-worker
-buffer of parallel Stage 4).  :class:`NullSink` drops everything — the
-disabled-observability fast path.
+:class:`JsonlSink` appends records to a JSONL trace file, a journal in
+the sense of :mod:`repro.durable` like the checkpoint: each record is
+flushed as one line, so a killed campaign leaves a valid prefix behind
+and :func:`read_trace` skips a torn final line.  :class:`MemorySink`
+buffers records in a list (the per-worker buffer of parallel Stage 4).
+:class:`NullSink` drops everything — the disabled-observability fast
+path.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Tuple
+
+from repro.durable import JournalWriter, read_records
 
 #: Version of the event schema; bumped on incompatible record changes.
 SCHEMA_VERSION = 1
@@ -65,7 +65,7 @@ class MemorySink:
         pass
 
 
-class JsonlSink:
+class JsonlSink(JournalWriter):
     """Appends records to a JSONL trace file, one flushed line each.
 
     The header record is written eagerly on construction so that even a
@@ -75,7 +75,7 @@ class JsonlSink:
     the campaign-service restart path, where one job's trace spans
     several daemon lifetimes and must stay a single-header stream for
     :func:`read_trace`.  It first cuts a torn final line (see
-    :func:`_cut_torn_tail`) and then writes the header only when nothing
+    :mod:`repro.durable`) and then writes the header only when nothing
     is left, so a header torn by the kill is written again.  ``resumed``
     records which happened: True when the trace continues earlier
     records, False when this sink wrote its header.
@@ -86,49 +86,14 @@ class JsonlSink:
     def __init__(
         self, path: str, header: Optional[Dict] = None, append: bool = False
     ):
+        super().__init__(path, append=append, sort_keys=True)
         self.path = path
-        self.resumed = append and _cut_torn_tail(path) > 0
-        self._handle = open(path, "a" if append else "w", encoding="utf-8")
         if not self.resumed:
             record = {"kind": "header", "schema": SCHEMA_VERSION}
             record.update(header or {})
             self.emit(record)
 
-    def emit(self, record: Dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-
-def _cut_torn_tail(path: str) -> int:
-    """Cut ``path`` back to just after its last newline; its new size.
-
-    A writer killed mid-record leaves a partial final line.  A record
-    appended after it would be glued onto that line, and
-    :func:`read_trace` would stop there and drop every record after it.
-    The scan reads backwards from the end, so a long trace costs one
-    block.  A missing file counts as empty.
-    """
-    try:
-        handle = open(path, "r+b")
-    except FileNotFoundError:
-        return 0
-    with handle:
-        size = keep = handle.seek(0, os.SEEK_END)
-        while keep > 0:
-            step = min(keep, 4096)
-            handle.seek(keep - step)
-            newline = handle.read(step).rfind(b"\n")
-            if newline >= 0:
-                keep += newline + 1 - step
-                break
-            keep -= step
-        if keep < size:
-            handle.truncate(keep)
-    return keep
+    emit = JournalWriter.append
 
 
 class TeeSink:
@@ -160,38 +125,25 @@ class TeeSink:
 def read_trace(path: str) -> Tuple[Dict, List[Dict]]:
     """Read a JSONL trace: (header, records after the header).
 
-    Tolerates a torn final line (the writing campaign was killed
-    mid-record) by discarding it, exactly like the checkpoint loader: a
-    line without its trailing newline is torn even when it parses.
-    Raises :class:`TraceError` when the file has no header record or the
+    Skips a torn final line (the writing campaign was killed mid-record),
+    exactly like the checkpoint loader (:mod:`repro.durable`).  Raises
+    :class:`TraceError` when the file has no header record or the
     header's schema version is unknown.
     """
     header: Optional[Dict] = None
     events: List[Dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.endswith("\n"):
-                break  # torn tail: keep the valid prefix
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if header is None:
-                if record.get("kind") != "header":
-                    raise TraceError(
-                        f"trace {path!r}: first record is not a header"
-                    )
-                if record.get("schema") != SCHEMA_VERSION:
-                    raise TraceError(
-                        f"trace {path!r}: schema {record.get('schema')!r} "
-                        f"not supported (expected {SCHEMA_VERSION})"
-                    )
-                header = record
-            else:
-                events.append(record)
+    for record in read_records(path):
+        if header is None:
+            if record.get("kind") != "header":
+                raise TraceError(f"trace {path!r}: first record is not a header")
+            if record.get("schema") != SCHEMA_VERSION:
+                raise TraceError(
+                    f"trace {path!r}: schema {record.get('schema')!r} "
+                    f"not supported (expected {SCHEMA_VERSION})"
+                )
+            header = record
+        else:
+            events.append(record)
     if header is None:
         raise TraceError(f"trace {path!r} has no header record")
     return header, events

@@ -12,22 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.durable import JournalWriter, read_records, write_atomic
 from repro.fuzz.prog import Call, Program, Res
 from repro.sched.executor import ExecutionResult, Executor
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Publish ``text`` at ``path`` whole: a temp file in the same
-    directory renamed over it, so a reader sees no file, the old one or
-    the new one, never a prefix."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
 
 
 # -- program (de)serialisation --------------------------------------------------
@@ -266,34 +256,20 @@ def record_digest(obj: Dict) -> str:
 class CheckpointWriter:
     """Appends one journal record per merged Stage-4 task.
 
-    Records are flushed line by line, so a campaign killed mid-flight
-    leaves a valid journal prefix behind (a torn final line is discarded
-    on load).  Construct with :meth:`create` (fresh journal, truncates)
-    or :meth:`append_to` (resume an existing one whose torn tail, if
-    any, was already cut off).
-
-    Durability levels: the default ``flush()`` survives a *process* kill
-    (the bytes are in OS buffers) but not a machine crash; ``fsync=True``
-    additionally fsyncs after every record, surviving power loss at the
-    cost of one disk sync per merged task (``--checkpoint-fsync`` on the
-    CLI, default off).
+    The journal is a :class:`~repro.durable.JournalWriter` (``fsync`` is
+    ``--checkpoint-fsync`` on the CLI, default off).  Construct with
+    :meth:`create` (fresh journal, truncates) or :meth:`append_to`
+    (resume an existing one, cutting its torn tail).
     """
 
     def __init__(
-        self, handle, campaign, packages: Dict[str, ReproPackage], fsync: bool = False
+        self, journal: JournalWriter, campaign, packages: Dict[str, ReproPackage]
     ):
-        self._handle = handle
+        self._journal = journal
         self._campaign = campaign
         self._packages = packages
         self._nrecords = len(campaign.records)
         self._package_ids = set(packages)
-        self._fsync = fsync
-
-    def _write(self, obj: Dict) -> None:
-        self._handle.write(json.dumps(obj) + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
 
     @classmethod
     def create(
@@ -304,9 +280,8 @@ class CheckpointWriter:
         packages: Dict[str, ReproPackage],
         fsync: bool = False,
     ) -> "CheckpointWriter":
-        handle = open(path, "w")
-        writer = cls(handle, campaign, packages, fsync=fsync)
-        writer._write({"kind": "header", **header})
+        writer = cls(JournalWriter(path, fsync=fsync), campaign, packages)
+        writer._journal.append({"kind": "header", **header})
         return writer
 
     @classmethod
@@ -317,7 +292,7 @@ class CheckpointWriter:
         packages: Dict[str, ReproPackage],
         fsync: bool = False,
     ) -> "CheckpointWriter":
-        return cls(open(path, "a"), campaign, packages, fsync=fsync)
+        return cls(JournalWriter(path, append=True, fsync=fsync), campaign, packages)
 
     def round_begin(self, info) -> None:
         """Journal a round boundary (a :class:`RoundInfo`'s summary).
@@ -331,7 +306,7 @@ class CheckpointWriter:
         """
         obj = {"kind": "round", **info.to_obj()}
         obj["digest"] = record_digest(obj)
-        self._write(obj)
+        self._journal.append(obj)
 
     def task_done(self, task_id: int, merged: bool = True) -> None:
         """Journal one task's contribution (call after merging it)."""
@@ -355,13 +330,10 @@ class CheckpointWriter:
             },
         }
         obj["digest"] = record_digest(obj)
-        self._write(obj)
+        self._journal.append(obj)
 
     def close(self) -> None:
-        if self._fsync and not self._handle.closed:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        self._handle.close()
+        self._journal.close()
 
 
 class Journal(NamedTuple):
@@ -370,52 +342,38 @@ class Journal(NamedTuple):
     header: Dict
     tasks: List[Dict]  # task records, in journal order
     rounds: Dict[int, Dict]  # round-boundary records by round number
-    valid_bytes: int  # length of the whole-record prefix
 
 
 def read_journal(path: str) -> Journal:
     """Read a campaign journal in one scan.
 
-    A line without its trailing newline is a torn tail (the campaign
-    died mid-write) and ends the scan, as does a line that does not
-    parse; ``valid_bytes`` is the length of the prefix before it, which
-    a resuming writer truncates to.  A record whose digest does not
-    match its contents raises — the journal was corrupted rather than
-    truncated.  Batch journals have no round records.
+    A torn final line is skipped (:mod:`repro.durable`).  A record whose
+    digest does not match its contents raises — the journal was
+    corrupted rather than truncated — and so does a journal without a
+    header record.  Batch journals have no round records.
     """
     header: Optional[Dict] = None
     tasks: List[Dict] = []
     rounds: Dict[int, Dict] = {}
-    valid = 0
-    with open(path, "rb") as handle:
-        for raw in handle:
-            if not raw.endswith(b"\n"):
-                break
-            line = raw.strip()
-            if line:
-                try:
-                    obj = json.loads(line)
-                except ValueError:  # not JSON, or not UTF-8
-                    break
-                kind = obj.get("kind")
-                if kind == "header":
-                    header = obj
-                elif kind in ("task", "round"):
-                    digest = obj.pop("digest", None)
-                    if digest != record_digest(obj):
-                        number = obj.get("task_id" if kind == "task" else "round")
-                        raise CheckpointMismatch(
-                            f"checkpoint {path!r}: {kind} {number} "
-                            f"record failed its digest check"
-                        )
-                    if kind == "task":
-                        tasks.append(obj)
-                    else:
-                        rounds[int(obj["round"])] = obj
-            valid += len(raw)
+    for obj in read_records(path):
+        kind = obj.get("kind")
+        if kind == "header":
+            header = obj
+        elif kind in ("task", "round"):
+            digest = obj.pop("digest", None)
+            if digest != record_digest(obj):
+                number = obj.get("task_id" if kind == "task" else "round")
+                raise CheckpointMismatch(
+                    f"checkpoint {path!r}: {kind} {number} "
+                    f"record failed its digest check"
+                )
+            if kind == "task":
+                tasks.append(obj)
+            else:
+                rounds[int(obj["round"])] = obj
     if header is None:
         raise CheckpointMismatch(f"checkpoint {path!r} has no header record")
-    return Journal(header, tasks, rounds, valid)
+    return Journal(header, tasks, rounds)
 
 
 def load_checkpoint(path: str) -> Tuple[Dict, List[Dict]]:

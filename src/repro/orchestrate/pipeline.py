@@ -20,7 +20,6 @@ S-INS-PAIR) are exposed through the same interface.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -94,7 +93,6 @@ class SnowboardConfig:
     trials_per_pmc: int = 24  # paper: at most 64 trials per PMC
     switch_probability: float = 0.5
     max_instructions: int = 60_000  # per-trial instruction budget
-    stop_test_on_new_bug: bool = True
     # Boot the patched-kernel variant (every planted bug repaired): the
     # regression target demonstrating that campaigns raise no alarms on a
     # correct kernel.
@@ -687,7 +685,7 @@ class Snowboard:
             self._task(task_id, test, scheduler_kind, trials),
             scheduler,
             obs_epoch=self.obs.tracer.epoch if self.obs.enabled else None,
-            seen_keys=campaign.seen_keys if self.config.stop_test_on_new_bug else None,
+            seen_keys=campaign.seen_keys,
         )
         return self._merge_task_outcomes(test, result, campaign, task_id)
 
@@ -720,10 +718,10 @@ class Snowboard:
         Every Stage-4 task ends here, inline or from a fleet, in task
         order, and this is the only place the ``stage4.*`` funnel counters
         are counted.  The fold stops at the first trial with a fresh
-        observation (under ``stop_test_on_new_bug``), so a fleet task's
-        surplus trials are dropped and serial and parallel campaigns
-        record identical bug sets, trial counts and first-find positions;
-        only the merged trials' buffered spans reach the trace.
+        observation, so a fleet task's surplus trials are dropped and
+        serial and parallel campaigns record identical bug sets, trial
+        counts and first-find positions; only the merged trials'
+        buffered spans reach the trace.
 
         ``result`` is :func:`run_task_trials`' ``(outcomes, buffer,
         pruned)``, or a :class:`~repro.orchestrate.queue.TaskFailure` (or
@@ -768,8 +766,7 @@ class Snowboard:
             if fresh:
                 found_new = True
                 self._capture_packages(test, outcome, fresh)
-                if self.config.stop_test_on_new_bug:
-                    break
+                break
         if exercised:
             campaign.exercised_pmcs += 1
         if obs.enabled:
@@ -904,8 +901,11 @@ class Snowboard:
         On resume the journal is read in one scan and validated against
         the campaign parameters, its records are replayed into
         ``campaign`` and ``self.repro_packages``, and the writer appends
-        behind the last whole record.
+        behind the last whole record.  A journal holding no whole line
+        (the campaign died before its header landed) held nothing
+        durable, so the campaign starts it afresh.
         """
+        from repro.durable import cut_torn_tail
         from repro.orchestrate.persistence import (
             CHECKPOINT_VERSION,
             CheckpointWriter,
@@ -926,7 +926,7 @@ class Snowboard:
         if ntests is not None:
             header["ntests"] = ntests
         self._stamp_store_header(header)
-        if not (resume and os.path.exists(checkpoint_path)):
+        if not (resume and cut_torn_tail(checkpoint_path) > 0):
             writer = CheckpointWriter.create(
                 checkpoint_path, header, campaign, self.repro_packages, fsync=fsync
             )
@@ -934,11 +934,6 @@ class Snowboard:
         journal = read_journal(checkpoint_path)
         verify_checkpoint_header(journal.header, header)
         completed = restore_campaign(campaign, self.repro_packages, journal.tasks)
-        if os.path.getsize(checkpoint_path) > journal.valid_bytes:
-            # A kill mid-append left a torn tail.  The next record must
-            # not land on that partial line, or every later load would
-            # stop there and drop it and all that follow.
-            os.truncate(checkpoint_path, journal.valid_bytes)
         writer = CheckpointWriter.append_to(
             checkpoint_path, campaign, self.repro_packages, fsync=fsync
         )

@@ -27,7 +27,8 @@ Design (DESIGN.md §2.14):
   iteration order of the in-memory bucket — the property that makes a
   spilled campaign bit-identical to an in-memory one.
 * **Manifest checkpoints** — ``checkpoint(seq)`` flushes pending
-  buffers and writes ``manifest.json``: per-shard durable lengths and
+  buffers and publishes ``manifest.json`` whole
+  (:func:`repro.durable.write_atomic`): per-shard durable lengths and
   chained content digests, the interned string table, the seq
   watermark, and the history of previous checkpoints.  Reopening a
   store truncates each segment to its manifest length (discarding torn
@@ -46,6 +47,7 @@ import struct
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.durable import write_atomic
 from repro.machine.accesses import AccessType
 from repro.profile.profiler import ProfiledAccess
 
@@ -405,10 +407,7 @@ class AccessStore:
         manifest = dict(body)
         manifest["checkpoints"] = [list(entry) for entry in self._checkpoints]
         manifest["digest"] = digest
-        tmp = os.path.join(self.root, MANIFEST_NAME + ".tmp")
-        with open(tmp, "w") as handle:
-            json.dump(manifest, handle)
-        os.replace(tmp, os.path.join(self.root, MANIFEST_NAME))
+        write_atomic(os.path.join(self.root, MANIFEST_NAME), json.dumps(manifest))
         self._manifest_digest = digest
         return digest
 

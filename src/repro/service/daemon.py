@@ -47,8 +47,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.durable import read_lines, write_atomic
 from repro.obs import JsonlSink
-from repro.orchestrate.persistence import write_atomic
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -248,22 +248,17 @@ class CampaignService:
 
         Returns ``(new_offset, lines)``; a partially written final line
         is left for the next poll, so every returned line is valid JSON.
+        ``offset`` must start a line (400 otherwise): 0, or an offset an
+        earlier call returned.
         """
         with self._lock:
             self._job(job_id)
             path = self.registry.trace_path(job_id)
-        if not os.path.exists(path):
-            return offset, []
-        lines: List[str] = []
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            while len(lines) < limit:
-                line = handle.readline()
-                if not line or not line.endswith(b"\n"):
-                    break
-                offset += len(line)
-                lines.append(line.decode("utf-8").rstrip("\n"))
-        return offset, lines
+        try:
+            offset, lines = read_lines(path, offset, limit)
+        except ValueError as error:
+            raise ServiceError(400, f"trace of {job_id!r}: {error}")
+        return offset, [line.decode("utf-8").rstrip("\n") for line in lines]
 
     # -- the scheduler turn ----------------------------------------------------
 

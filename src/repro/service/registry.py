@@ -12,9 +12,9 @@ Layout under the service data directory::
         packages/<bug>.json   reproduction packages (terminal jobs)
         snapshots/<id>.jsonl  frozen copies of the campaign journal
 
-Every registry record is one flushed, digest-protected JSON line — the
-same append-only, torn-tail-tolerant discipline as the campaign
-checkpoint journal, and the same crash contract: SIGKILL the daemon at
+The registry is a journal in the sense of :mod:`repro.durable`, like
+the campaign checkpoint: every record is one flushed, digest-protected
+JSON line, and the crash contract is the same: SIGKILL the daemon at
 any point, reopen the registry, and every job is back with its exact
 state (jobs that were mid-turn come back ``pending`` and re-enter the
 scheduler; their campaign journals make the replay bit-identical).
@@ -22,11 +22,11 @@ scheduler; their campaign journals make the replay bit-identical).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from typing import Dict, List, Optional
 
+from repro.durable import JournalWriter, read_records
 from repro.orchestrate.persistence import record_digest
 from repro.service.jobs import (
     FAILED,
@@ -50,54 +50,26 @@ class JobRegistry:
         self.path = os.path.join(self.root, "registry.jsonl")
         self.jobs: Dict[str, CampaignJob] = {}
         self._next_id = 1
-        valid_bytes = self._replay()
-        if os.path.exists(self.path) and os.path.getsize(self.path) > valid_bytes:
-            # A SIGKILL mid-append left a torn tail.  Cut it off before
-            # reopening for append: writing the next record glued onto
-            # the partial line would make the *following* replay stop at
-            # the mangled line and silently drop every record after it.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._replay()
+        self._journal = JournalWriter(self.path, append=True, sort_keys=True)
 
     # -- journal ---------------------------------------------------------------
 
     def _append(self, obj: Dict) -> None:
         obj["digest"] = record_digest(obj)
-        self._handle.write(json.dumps(obj, sort_keys=True) + "\n")
-        self._handle.flush()
+        self._journal.append(obj)
 
-    def _replay(self) -> int:
-        """Rebuild the job table from the journal.
-
-        Returns the byte length of the fully-parsed prefix; anything
-        past it is a torn tail that ``__init__`` truncates before the
-        append handle is opened.
-        """
-        valid = 0
-        if not os.path.exists(self.path):
-            return valid
-        with open(self.path, "rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # torn tail: keep the valid prefix
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    break
-                if line:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError:
-                        break
-                    digest = obj.pop("digest", None)
-                    if digest != record_digest(obj):
-                        raise RegistryError(
-                            f"registry {self.path!r}: record failed its digest "
-                            f"check ({obj.get('kind')!r})"
-                        )
-                    self._apply(obj)
-                valid += len(raw)
+    def _replay(self) -> None:
+        """Rebuild the job table from the journal."""
+        if os.path.exists(self.path):
+            for obj in read_records(self.path):
+                digest = obj.pop("digest", None)
+                if digest != record_digest(obj):
+                    raise RegistryError(
+                        f"registry {self.path!r}: record failed its digest "
+                        f"check ({obj.get('kind')!r})"
+                    )
+                self._apply(obj)
         # Jobs that owned a scheduler turn when the daemon died come
         # back as pending — their campaign journal holds every merged
         # task, so the replayed rounds land bit-identically.
@@ -112,7 +84,6 @@ class JobRegistry:
                     job.spec.validate()
                 except ValueError as error:
                     job.state, job.error = FAILED, f"invalid spec: {error}"
-        return valid
 
     def _apply(self, obj: Dict) -> None:
         kind = obj.get("kind")
@@ -290,5 +261,4 @@ class JobRegistry:
         )
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        self._journal.close()

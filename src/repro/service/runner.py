@@ -29,8 +29,8 @@ import json
 import os
 from typing import Dict, Optional
 
+from repro.durable import write_atomic
 from repro.obs import JsonlSink, Observer, TeeSink, read_trace
-from repro.orchestrate.persistence import write_atomic
 from repro.orchestrate.pipeline import Snowboard
 from repro.orchestrate.results import CampaignResult
 from repro.service.jobs import CampaignJob

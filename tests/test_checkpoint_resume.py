@@ -247,6 +247,38 @@ class TestJournalGuards:
         _, tasks = load_checkpoint(path)
         assert [t["task_id"] for t in tasks] == list(range(BUDGET))
 
+    @pytest.mark.parametrize("left", ["", '{"kind": "header", "vers'])
+    def test_journal_whose_header_never_landed_starts_afresh(
+        self, baseline, tmp_path, left
+    ):
+        """A kill between the journal's creation and its header write
+        leaves it empty or with a torn header: nothing durable, so the
+        resume starts the journal afresh."""
+        _, uninterrupted = baseline
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "w") as handle:
+            handle.write(left)
+        with pytest.raises(CheckpointMismatch, match="no header"):
+            load_checkpoint(path)  # a status poll still reads "nothing yet"
+        resumed = Snowboard(CONFIG).prepare().run_campaign(
+            STRATEGY, test_budget=BUDGET, checkpoint_path=path, resume=True
+        )
+        assert resumed.summary() == uninterrupted.summary()
+        _, tasks = load_checkpoint(path)
+        assert [t["task_id"] for t in tasks] == list(range(BUDGET))
+
+    def test_records_without_a_header_still_raise(self, tmp_path):
+        path = self._partial_journal(tmp_path)
+        with open(path) as handle:
+            lines = handle.readlines()
+        with open(path, "w") as handle:
+            handle.writelines(lines[1:])  # the header line lost, tasks kept
+        sb = Snowboard(CONFIG).prepare()
+        with pytest.raises(CheckpointMismatch, match="no header"):
+            sb.run_campaign(
+                STRATEGY, test_budget=BUDGET, checkpoint_path=path, resume=True
+            )
+
     def test_corrupted_record_fails_digest_check(self, tmp_path):
         path = self._partial_journal(tmp_path)
         with open(path) as handle:

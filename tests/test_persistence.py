@@ -113,7 +113,7 @@ class TestReproPackage:
         replacing loadable."""
         import builtins
 
-        from repro.orchestrate import persistence
+        from repro import durable
 
         path = str(tmp_path / "SB11.json")
         writer, reader = prog(Call("mkdir", (2,))), prog(Call("lookup", (2,)))
@@ -137,7 +137,7 @@ class TestReproPackage:
         def torn_open(*args, **kwargs):
             return TornWrite(builtins.open(*args, **kwargs))
 
-        monkeypatch.setattr(persistence, "open", torn_open, raising=False)
+        monkeypatch.setattr(durable, "open", torn_open, raising=False)
         new = ReproPackage("SB11", writer, reader, switch_points=[5, 9])
         with pytest.raises(OSError):
             new.save(path)

@@ -333,6 +333,25 @@ class TestRestartRecovery:
             assert revived.summary(job_id) == solo["alice"]["summary"]
             revived.stop()
 
+    def test_checkpoint_header_torn_by_the_kill_starts_afresh(self, tmp_path, solo):
+        # A kill between the journal's creation and its header write
+        # leaves a torn header.  Nothing in it was durable, so the job,
+        # and a fork from a snapshot of it, start their journals afresh.
+        root = str(tmp_path / "svc")
+        service = CampaignService(root)
+        job_id = service.submit("alice", SPECS["alice"])["job_id"]
+        with open(service.registry.checkpoint_path(job_id), "w") as handle:
+            handle.write('{"kind": "head')
+        snapshot = service.snapshot(job_id)["snapshot"]
+        child = service.fork(job_id, snapshot, "bob")["job_id"]
+        del service  # simulated SIGKILL
+        revived = CampaignService(root)
+        drain(revived)
+        for job in (job_id, child):
+            assert revived.status(job)["state"] == DONE
+            assert revived.summary(job) == solo["alice"]["summary"]
+        revived.stop()
+
 
 class TestLifecycle:
     def test_pause_resume_round_trip(self, tmp_path, solo):

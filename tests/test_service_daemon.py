@@ -244,3 +244,31 @@ def test_malformed_numbers_are_client_errors(tmp_path):
         daemon._httpd.shutdown()
         thread.join(timeout=10)
         daemon.service.stop()
+
+
+def test_trace_offset_must_start_a_line(tmp_path):
+    """Every returned trace line is whole JSON, so an offset inside a
+    line, or past the end, is the client's fault: 400."""
+    from repro.service.daemon import ServiceDaemon
+
+    data = str(tmp_path / "svc")
+    daemon = ServiceDaemon(data)
+    thread = threading.Thread(target=daemon._httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient.connect(data)
+        job_id = client.submit("alice", dict(SPECS["alice"], rounds=1))["job_id"]
+        while client.status(job_id)["state"] not in TERMINAL_STATES:
+            daemon.service.run_turn(timeout=0.1)
+        offset, lines = client.trace(job_id, 0, limit=3)
+        end, rest = client.trace(job_id, offset)
+        assert rest and all(json.loads(line) for line in lines + rest)
+        assert client.trace(job_id, end) == (end, [])
+        for bad in (7, offset - 1, end + 1):
+            with pytest.raises(ServiceClientError) as err:
+                client.trace(job_id, bad)
+            assert err.value.status == 400, bad
+    finally:
+        daemon._httpd.shutdown()
+        thread.join(timeout=10)
+        daemon.service.stop()
