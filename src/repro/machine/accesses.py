@@ -37,6 +37,11 @@ class AccessType(enum.Enum):
     READ = "R"
     WRITE = "W"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent; it runs in C, where Enum's own hashes the name in
+    # Python on every probe of a set keyed by access signatures.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -115,12 +115,14 @@ FUNNEL_LAYOUT: Tuple[Tuple[str, str, str], ...] = (
     ("3 selection", "tests generated", "stage3.tests"),
     ("4 execution", "tests executed", "stage4.tests"),
     ("4 execution", "trials executed", "stage4.trials"),
+    ("4 execution", "distinct schedules", "stage4.schedules"),
     ("4 execution", "instructions executed", "stage4.instructions"),
     ("4 execution", "PMC channels exercised", "stage4.exercised"),
     ("4 execution", "races flagged", "stage4.races"),
     ("4 execution", "distinct observations", "stage4.observations"),
     ("4 execution", "catalogued bugs", "stage4.bugs"),
     ("4 execution", "snapshot pages restored", "restore.pages"),
+    ("4 execution", "recorded schedules served", "stage4.schedule_hits"),
     ("4 execution", "prefix fork hits", "stage4.prefix_fork_hits"),
     ("4 execution", "commuting trials pruned", "stage4.trials_pruned"),
     ("4 execution", "task failures", "fleet.task_failures"),
@@ -145,17 +147,18 @@ def funnel_rows(stats: TraceStats) -> List[List[str]]:
 #: of ``CampaignResult.summary()``.  The PMC-store tier counters are the
 #: same class of fact: hot hits, cold probes and evictions describe the
 #: cache configuration, not the campaign, and a spilled run must compare
-#: equal to an in-memory one.  Prefix-fork hits and pruned-trial credits
-#: are likewise execution-strategy facts: a fleet re-records each task's
-#: prefix per worker (different hit pattern than one warm serial
-#: executor), and ``--prune-commuting`` deliberately runs fewer trials —
-#: neither may break funnel equivalence.  Displayed, but not compared.
+#: equal to an in-memory one.  Schedule hits, prefix-fork hits and
+#: pruned-trial credits are likewise execution-strategy facts: a memo-off
+#: run serves nothing from recordings, and ``--prune-commuting``
+#: deliberately runs fewer trials — neither may break funnel
+#: equivalence.  Displayed, but not compared.
 HISTORY_DEPENDENT = frozenset(
     {
         "restore.pages",
         "store.hot_hits",
         "store.cold_probes",
         "store.evictions",
+        "stage4.schedule_hits",
         "stage4.prefix_fork_hits",
         "stage4.trials_pruned",
     }

@@ -80,7 +80,8 @@ from repro.pmc.model import AccessKey, PMC
 #: v3: heartbeat liveness (``HeartbeatEnvelope``/``HelloEnvelope``),
 #: spawn ``generation`` stamped on results, socket transport framing.
 #: v4: results carry the trial plan's ``pruned`` count.
-WIRE_VERSION = 4
+#: v5: outcome ``schedule_hit`` and ``new_schedule`` flags.
+WIRE_VERSION = 5
 
 
 class WireFormatError(ValueError):
@@ -139,6 +140,8 @@ def outcome_to_obj(outcome) -> Dict:
         "console": list(outcome.console),
         "panic_message": outcome.panic_message,
         "forked": outcome.forked,
+        "schedule_hit": outcome.schedule_hit,
+        "new_schedule": outcome.new_schedule,
     }
 
 
@@ -158,6 +161,8 @@ def outcome_from_obj(obj: Dict):
         console=tuple(obj["console"]),
         panic_message=obj["panic_message"],
         forked=bool(obj["forked"]),
+        schedule_hit=bool(obj["schedule_hit"]),
+        new_schedule=bool(obj["new_schedule"]),
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.detect.datarace import RaceDetector
 from repro.detect.report import observe
@@ -40,7 +40,7 @@ from repro.pmc.selection import SelectionHistory, cluster_pmcs, ordered_exemplar
 from repro.profile.profiler import TestProfile, profile_new
 from repro.sched.executor import Executor
 from repro.sched.random_sched import RandomScheduler
-from repro.sched.prefixfork import PrefixMemo
+from repro.sched.prefixfork import PrefixMemo, Served
 from repro.sched.ski import SkiScheduler
 from repro.sched.snowboard import SnowboardScheduler, channel_exercised
 
@@ -211,9 +211,15 @@ class TrialOutcome:
     switch_points: Tuple[int, ...] = ()
     console: Tuple[str, ...] = ()
     panic_message: str = ""
-    # True when the trial was served from already-cached prefix state
-    # (counted as ``stage4.prefix_fork_hits`` by the merge).
+    # True when the trial resumed from an already-cached first-switch
+    # fork and ran live (counted as ``stage4.prefix_fork_hits``).
     forked: bool = False
+    # True when the trial repeated a recorded schedule and was served
+    # its result (counted as ``stage4.schedule_hits``).
+    schedule_hit: bool = False
+    # True when no earlier trial of the task ran this switch-point list
+    # (counted as ``stage4.schedules``, the task's distinct schedules).
+    new_schedule: bool = False
 
 
 def scheduler_stats(scheduler) -> Dict[str, int]:
@@ -293,6 +299,7 @@ def run_task_trials(
     outcomes: List[TrialOutcome] = []
     slices: List[List[Dict]] = []
     exercised = False
+    schedules: Set[Tuple[int, ...]] = set()
     try:
         with obs.span(
             "stage4.test",
@@ -323,7 +330,10 @@ def run_task_trials(
                 ) as trial_span:
                     scheduler.begin_trial(trial)
                     detector = RaceDetector()
-                    result, forked = memo.run_trial(scheduler, detector)
+                    result, served = memo.run_trial(scheduler, detector)
+                    schedule = tuple(result.switch_points)
+                    new_schedule = schedule not in schedules
+                    schedules.add(schedule)
                     if test.pmc is not None and not exercised:
                         # Once the channel fired, the prefix-OR the
                         # merger computes is True regardless of later
@@ -340,14 +350,14 @@ def run_task_trials(
                             races=races,
                             observations=observations,
                             channel_hit=exercised,
-                            switch_points=(
-                                tuple(result.switch_points) if observations else ()
-                            ),
+                            switch_points=schedule if observations else (),
                             console=tuple(result.console) if observations else (),
                             panic_message=(
                                 result.panic_message if observations else ""
                             ),
-                            forked=forked,
+                            forked=served is Served.FORK,
+                            schedule_hit=served is Served.LEAF,
+                            new_schedule=new_schedule,
                         )
                     )
                     scheduler.end_trial(result)
@@ -762,6 +772,10 @@ class Snowboard:
                     obs.count("stage4.observations", len(fresh))
                 if outcome.forked:
                     obs.count("stage4.prefix_fork_hits", 1)
+                if outcome.schedule_hit:
+                    obs.count("stage4.schedule_hits", 1)
+                if outcome.new_schedule:
+                    obs.count("stage4.schedules", 1)
                 obs.observe("stage4.trial_instructions", outcome.instructions)
             if fresh:
                 found_new = True

@@ -106,6 +106,12 @@ class ResumeState:
     interpreter loop would have accumulated had it executed the prefix
     itself.  ``trace`` holds the prefix's access rows, of which the first
     ``trace_rows`` are copied into the resumed result.
+
+    ``steps`` receives the resumed run's schedule, one
+    ``(accesses, decision)`` pair per instruction that consulted the
+    scheduler: the accesses it was shown, then whether it switched, or
+    ``None`` where its answer could not take effect (the other thread
+    done, or a liveness mark forcing the switch anyway).
     """
 
     snapshot: object  # Snapshot/ForkSnapshot: anything with .restore(machine)
@@ -120,6 +126,7 @@ class ResumeState:
     ninstr: int
     trace: AccessTrace
     trace_rows: int
+    steps: list
 
 
 class _Thread:
@@ -182,7 +189,8 @@ class Executor:
         point instead of the boot snapshot: thread 0's coroutine, the
         liveness window, the access trace and the instruction/sequence
         counters are restored from the recorded prefix, and execution
-        proceeds on thread 1 exactly as if the prefix had just run.
+        proceeds on thread 1 exactly as if the prefix had just run; the
+        run's schedule is recorded into ``resume_from.steps``.
         """
         max_procs = len(self.kernel.procs)
         if not 2 <= len(programs) <= max_procs:
@@ -267,11 +275,13 @@ class Executor:
             sticky_stuck = [False] * nthreads
             current = 0
             seq = 0
+            steps = None
         else:
             liveness = resume.liveness
             sticky_stuck = [resume.stuck0] + [False] * (nthreads - 1)
             current = 1
             seq = resume.seq
+            steps = resume.steps
             result.switches = 1
             result.switch_points.append(resume.ninstr)
             result.accesses.extend_prefix(resume.trace, resume.trace_rows)
@@ -303,6 +313,7 @@ class Executor:
         READ = AccessType.READ
         runnable = nthreads
         ninstr = 0 if resume is None else resume.ninstr
+        shown = None  # accesses this instruction showed the scheduler
 
         while runnable:
             if ninstr >= max_instructions:
@@ -367,14 +378,21 @@ class Executor:
                         detect_on_access(access, atomic=op.atomic)
                     if sched_on_access is not None:
                         switch = sched_on_access(access)
+                        if steps is not None:
+                            shown = (access,)
                 seq += 1
             elif cls is CasOp:
-                switch = self._do_cas(
-                    thread, op, seq, result, liveness, scheduler, race_detector
-                )
+                traced = self._do_cas(thread, op, seq, result, liveness, sequential)
                 seq += 2
                 if result.panicked:
                     break
+                for access in traced:
+                    if detect_on_access is not None and not access.is_stack:
+                        detect_on_access(access, atomic=True)
+                    if sched_on_access is not None and sched_on_access(access):
+                        switch = True
+                if steps is not None and sched_on_access is not None:
+                    shown = traced
             elif cls is SyncOp:
                 self._do_sync(thread, threads, op, race_detector)
             elif cls is PrintkOp:
@@ -387,6 +405,14 @@ class Executor:
                 switch = True
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown kernel op {op!r}")
+
+            if shown is not None:
+                # The scheduler's answer matters only where a switch can
+                # take effect: the other thread runs, and liveness is not
+                # about to force the switch anyway.
+                forced = runnable == 1 or is_stuck(thread.index)
+                steps.append((shown, None if forced else bool(switch)))
+                shown = None
 
             if replay is not None:
                 # Replay mode: the recorded switch points fully determine
@@ -424,8 +450,13 @@ class Executor:
     # -- op handlers -----------------------------------------------------------
 
     def _do_cas(
-        self, thread, op: CasOp, seq, result, liveness, scheduler, race_detector
-    ) -> bool:
+        self, thread, op: CasOp, seq, result, liveness, sequential
+    ) -> tuple:
+        """Perform a compare-and-swap; the access records it traced.
+
+        Sequential profiling appends raw columns and returns ``()``, as
+        does a faulting CAS (``result`` then carries the panic).
+        """
         machine = self.kernel.machine
         memory = machine.memory
         try:
@@ -435,11 +466,11 @@ class Executor:
                 memory.write_int(op.addr, op.size, op.new)
         except PageFault as fault:
             self._page_fault_panic(fault, op.ins, result)
-            return False
+            return ()
         thread.pending = old
         is_stack = machine.in_stack(thread.index, op.addr, op.size)
         trace = result.accesses
-        if scheduler is None and race_detector is None:
+        if sequential:
             # Sequential profiling: columnar append, no record objects.
             trace.append_fields(
                 seq, thread.index, AccessType.READ, op.addr, op.size, old, op.ins, is_stack
@@ -456,7 +487,7 @@ class Executor:
                     is_stack,
                 )
             liveness.note_access(thread.index, op.ins, op.addr)
-            return False
+            return ()
         read = MemoryAccess(
             seq=seq,
             thread=thread.index,
@@ -468,7 +499,6 @@ class Executor:
             is_stack=is_stack,
         )
         trace.append(read)
-        accesses = [read]
         if swapped:
             write = MemoryAccess(
                 seq=seq + 1,
@@ -481,15 +511,11 @@ class Executor:
                 is_stack=is_stack,
             )
             trace.append(write)
-            accesses.append(write)
+            traced = (read, write)
+        else:
+            traced = (read,)
         liveness.note_access(thread.index, op.ins, op.addr)
-        switch = False
-        for access in accesses:
-            if race_detector is not None and not is_stack:
-                race_detector.on_access(access, atomic=True)
-            if scheduler is not None:
-                switch = scheduler.on_access(access) or switch
-        return switch
+        return traced
 
     def _do_sync(self, thread, threads, op: SyncOp, race_detector) -> None:
         if op.kind == "rcu_read_lock":

@@ -1,24 +1,29 @@
-"""Sequential-prefix fork memoization and commuting-schedule pruning.
+"""Schedule memoization and commuting-schedule pruning.
 
-Trials of one Stage-4 task share a deterministic sequential prefix: the
-writer runs alone until the scheduler forces the first context switch,
-and the prefix up to a given switch position is identical in every trial
-that switches there.  :class:`PrefixMemo` records that prefix once per
-task, then serves each trial by
+A trial is a pure function of the scheduler's answers where a switch
+can take effect, and Algorithm 2 draws few of them, so most trials of a
+Stage-4 task repeat a schedule the task already ran.  :class:`PrefixMemo`
+keeps one trie of the task's schedules (DESIGN §2.15):
 
-* driving the *live* scheduler over the recorded access stream to find
-  the trial's first switch position (the simulation makes exactly the
-  ``on_access`` calls the executor would have made, in the same order,
-  so RNG draws, learned flags and adoption choices are unchanged);
-* resuming the executor from a cached mid-trial
-  :class:`~repro.machine.snapshot.ForkSnapshot` at that position — or,
-  when the trial never switches inside the writer, returning the fully
-  memoized no-switch result without touching the machine at all.
+* the root is the writer's (and, when it completes, the reader's) solo
+  run, recorded once per task; its leaf is the no-switch result;
+* every deeper node is the schedule a live trial ran past a decision
+  that no earlier trial took, and its leaf is that trial's result; the
+  root's children also own the mid-trial
+  :class:`~repro.machine.snapshot.ForkSnapshot` at their first switch.
 
-Bit-identity with the from-boot path is the contract (DESIGN §2.15);
-the recorder below replicates the executor's per-op semantics exactly,
-including the page-fault sequence-number quirks and the liveness stuck
-checks that force switches independently of the scheduler.
+A trial drives the *live* scheduler down the trie, making exactly the
+``on_access`` calls the executor would make, in the same order, so RNG
+draws, learned flags and adoption choices are unchanged.  Reaching a
+leaf serves its result without touching the machine.  Leaving the
+recorded path resumes the executor at the first-switch fork behind a
+shim that hands back the answers the walk already drew, and the steps
+the resumed run records are grafted on as a new branch.
+
+Bit-identity with the from-boot path is the contract; the recorder
+below replicates the executor's per-op semantics exactly, including the
+page-fault sequence-number quirks and the liveness stuck checks that
+force switches independently of the scheduler.
 
 The second layer, commuting-schedule pruning (``--prune-commuting``),
 is a partial-order reduction over the same recording: candidate switch
@@ -31,6 +36,7 @@ commuting class bounds how many trials are worth running.
 from __future__ import annotations
 
 import bisect
+import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -135,8 +141,10 @@ class PrefixRecording:
 
 @dataclass
 class _ForkState:
-    """Cached per-switch-position state shared by all trials forking there."""
+    """Cached state right after a first switch, shared by every trial
+    that first switches there."""
 
+    event: int
     snapshot: ForkSnapshot
     liveness: LivenessMonitor
     detector: RaceDetector
@@ -145,8 +153,58 @@ class _ForkState:
     call_results: Tuple
 
 
+class Served(enum.IntEnum):
+    """How :meth:`PrefixMemo.run_trial` served a trial; truthy when
+    cached state served it."""
+
+    LIVE = 0  # ran on the machine: from boot, or from a new fork
+    LEAF = 1  # repeated a recorded schedule: its result, no machine work
+    FORK = 2  # resumed from a cached first-switch fork, then ran live
+
+
+# The decision of a root step every trial switches at (a pause, or a
+# liveness mark): the solo run went on, but no answer equals it, so the
+# walk always leaves the root there.
+_FORCED = "forced"
+
+
+class _Node:
+    """A stretch of recorded schedule in a task's trie.
+
+    ``steps`` are ``(accesses, decision)`` pairs as the executor records
+    them (:class:`~repro.sched.executor.ResumeState`).  ``leaf`` is the
+    result of the trial that ran to their end, and ``branches`` maps a
+    step index to the node that took the other decision there.
+    """
+
+    __slots__ = ("steps", "leaf", "branches", "fork")
+
+    def __init__(self, steps, leaf=None, fork=None):
+        self.steps = steps
+        self.leaf = leaf
+        self.branches: Dict[int, "_Node"] = {}
+        # The first-switch fork: children of the root only.
+        self.fork: Optional[_ForkState] = fork
+
+
+class _Replay:
+    """Scheduler shim for a trial leaving the trie: the answers its walk
+    already drew, in order, then the live scheduler's."""
+
+    __slots__ = ("_drawn", "_live")
+
+    def __init__(self, drawn: List, scheduler):
+        self._drawn = iter(drawn)
+        self._live = scheduler.on_access
+
+    def on_access(self, access: MemoryAccess):
+        for answer in self._drawn:
+            return answer
+        return self._live(access)
+
+
 class PrefixMemo:
-    """Per-task trial server: memoized prefixes + optional pruning."""
+    """Per-task trial server: the schedule trie + optional pruning."""
 
     def __init__(
         self,
@@ -167,8 +225,7 @@ class PrefixMemo:
         self.fork_enabled = enabled and usable
         self.prune = prune and usable
         self._rec: Optional[PrefixRecording] = None
-        self._forks: Dict[int, _ForkState] = {}
-        self._full_detector: Optional[RaceDetector] = None
+        self._root: Optional[_Node] = None
 
     @property
     def active(self) -> bool:
@@ -207,11 +264,11 @@ class PrefixMemo:
         return effective, trials - effective
 
     def run_trial(self, scheduler, detector: RaceDetector):
-        """Run one trial; returns ``(result, forked)``.
+        """Run one trial; returns ``(result, served)``.
 
-        ``forked`` is True when the trial was served from already-cached
-        prefix state (the ``stage4.prefix_fork_hits`` counter); the trial
-        that *creates* a fork point reports False.
+        ``served`` is a :class:`Served`, truthy when cached state served
+        the trial: a recorded leaf (``stage4.schedule_hits``) or a cached
+        first-switch fork (``stage4.prefix_fork_hits``).
         """
         if not self.fork_enabled:
             result = self.executor.run_concurrent(
@@ -219,17 +276,77 @@ class PrefixMemo:
                 scheduler=scheduler,
                 race_detector=detector,
             )
-            return result, False
-        rec = self._ensure_recorded()
-        m = self._simulate(scheduler, rec)
-        if m is None:
-            return self._full_result(detector, rec), True
-        state = self._forks.get(m)
-        hit = state is not None
-        if state is None:
-            state = self._build_fork_state(m, rec)
-            self._forks[m] = state
+            return result, Served.LIVE
+        self._ensure_recorded()
+        root = node = self._root
+        top = None  # the root's child the walk went down
+        offset = 0  # the live steps recorded before node.steps[0]
+        on_access = scheduler.on_access
+        drawn: List = []
+        draw = drawn.append
+        while True:
+            for k, (accesses, decision) in enumerate(node.steps):
+                switch = False
+                for access in accesses:
+                    answer = on_access(access)
+                    draw(answer)
+                    if answer:
+                        switch = True
+                if decision is not None and switch is not decision:
+                    break
+            else:
+                return self._serve(node), Served.LEAF
+            child = node.branches.get(k)
+            if child is None:
+                return self._branch(scheduler, detector, node, k, top, offset, drawn)
+            if node is root:
+                # The fork stands in for the solo prefix: no live run
+                # asks for the root's answers again.
+                drawn.clear()
+                top = child
+            else:
+                offset += k + 1
+            node = child
+
+    # -- trial service internals -------------------------------------------
+
+    def _serve(self, node: _Node) -> ExecutionResult:
+        """A fresh copy of ``node``'s leaf; costs no machine execution."""
+        leaf = node.leaf
+        if leaf is None:  # the root: the no-switch result, built once
+            leaf = node.leaf = self._no_switch_result(self._rec)
+        return ExecutionResult(
+            accesses=leaf.accesses,
+            console=list(leaf.console),
+            returns=[list(r) for r in leaf.returns],
+            panicked=leaf.panicked,
+            panic_message=leaf.panic_message,
+            deadlocked=leaf.deadlocked,
+            budget_exceeded=leaf.budget_exceeded,
+            instructions=leaf.instructions,
+            switches=leaf.switches,
+            races=list(leaf.races),
+            switch_points=list(leaf.switch_points),
+        )
+
+    def _branch(self, scheduler, detector, node, k, top, offset, drawn):
+        """Run a trial that left the trie at ``node.steps[k]`` live from
+        its first-switch fork, and graft the schedule it ran."""
+        steps: List = []
+        if top is None:  # a new first switch: the fork does not exist yet
+            fork = self._build_fork_state(k, self._rec)
+            result = self._resume(fork, scheduler, detector, steps)
+            node.branches[k] = _Node(steps, result, fork)
+            return result, Served.LIVE
+        result = self._resume(top.fork, _Replay(drawn, scheduler), detector, steps)
+        node.branches[k] = _Node(steps[offset + k + 1 :], result)
+        return result, Served.FORK
+
+    def _resume(self, state: _ForkState, scheduler, detector, steps) -> ExecutionResult:
+        """Run the trial on from right after ``state``'s first switch."""
         detector.load_state(state.detector)
+        rec = self._rec
+        m = state.event
         ev = rec.events[m]
         kernel = self.executor.kernel
         ctx = kernel.make_context(thread=0, proc_index=0)
@@ -261,54 +378,23 @@ class PrefixMemo:
             ninstr=ev.ninstr,
             trace=rec.trace,
             trace_rows=ev.rows_after,
+            steps=steps,
         )
-        result = self.executor.run_concurrent(
+        return self.executor.run_concurrent(
             [self.writer, self.reader],
             scheduler=scheduler,
             race_detector=detector,
             resume_from=resume,
         )
-        return result, hit
 
-    # -- trial service internals -------------------------------------------
-
-    def _simulate(self, scheduler, rec: PrefixRecording) -> Optional[int]:
-        """Drive the live scheduler over the recording; first switch index.
-
-        Returns the index of the event after which the executor would
-        have switched to the reader, or None when the trial never leaves
-        the writer — in which case the scheduler has also been driven
-        over the reader portion, so its per-trial state (draws, flags,
-        last-access) matches a from-boot no-switch run exactly.
-        """
-        events = rec.events
-        on_access = scheduler.on_access
-        for i in range(rec.t0_events):
-            ev = events[i]
-            switch = False
-            for access in ev.accesses:
-                if on_access(access):
-                    switch = True
-            if switch or ev.pause or ev.stuck:
-                return i
-        for i in range(rec.t0_events, len(events)):
-            for access in events[i].accesses:
-                on_access(access)
-        return None
-
-    def _full_result(
-        self, detector: RaceDetector, rec: PrefixRecording
-    ) -> ExecutionResult:
-        """The shared no-switch result; costs no machine execution."""
-        if self._full_detector is None:
-            template = RaceDetector()
-            self._replay_detector(template, rec.events, len(rec.events))
-            self._full_detector = template
-        detector.load_state(self._full_detector)
+    def _no_switch_result(self, rec: PrefixRecording) -> ExecutionResult:
+        """The root's leaf: the solo runs back to back, races replayed."""
+        detector = RaceDetector()
+        self._replay_detector(detector, rec.events, len(rec.events))
         result = ExecutionResult()
         result.accesses = rec.trace
-        result.console = list(rec.console_lines)
-        result.returns = [list(rec.returns[0]), list(rec.returns[1])]
+        result.console = rec.console_lines
+        result.returns = rec.returns
         result.panicked = rec.panicked
         result.panic_message = rec.panic_message
         result.budget_exceeded = rec.budget_exceeded
@@ -346,6 +432,7 @@ class PrefixMemo:
         call_index = events[m].call_index
         call_event, call_results = rec.call_starts[call_index]
         return _ForkState(
+            event=m,
             snapshot=snapshot,
             liveness=liveness,
             detector=detector,
@@ -373,7 +460,23 @@ class PrefixMemo:
 
     def _ensure_recorded(self) -> PrefixRecording:
         if self._rec is None:
-            self._rec = self._record()
+            self._rec = rec = self._record()
+            # The trie's root: one step per recorded event, so a branch
+            # key is the event a trial first switches after.  Only the
+            # writer's solo events can switch; the reader's come after
+            # it finished.
+            steps = []
+            for i, ev in enumerate(rec.events):
+                if i >= rec.t0_events:
+                    decision = None
+                elif ev.pause or ev.stuck:
+                    decision = _FORCED
+                else:
+                    decision = False if ev.accesses else None
+                steps.append((ev.accesses, decision))
+                if decision is _FORCED:
+                    break  # every trial has switched by here
+            self._root = _Node(steps)
         return self._rec
 
     def _record(self) -> PrefixRecording:

@@ -232,7 +232,10 @@ class CampaignService:
         with self._lock:
             self._job(job_id)
             path = self.registry.checkpoint_path(job_id)
-        if not os.path.exists(path):
+        # No whole line yet: the job has not started, is between its
+        # first turn's truncating open and the header write, or its
+        # header never landed.  Any whole line must parse as a journal.
+        if not read_lines(path, 0, 1)[1]:
             return {}
         _, task_records = load_checkpoint(path)
         packages: Dict[str, Dict] = {}

@@ -21,7 +21,7 @@ contract at three levels:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.detect.datarace import RaceDetector
@@ -30,7 +30,12 @@ from repro.fuzz.prog import Call, Res, prog
 from repro.kernel.kernel import boot_kernel
 from repro.machine.snapshot import ForkSnapshot, ForkSnapshotError, Snapshot
 from repro.obs import MemorySink, Observer
-from repro.obs.stats import FUNNEL_LAYOUT, HISTORY_DEPENDENT
+from repro.obs.stats import (
+    FUNNEL_LAYOUT,
+    HISTORY_DEPENDENT,
+    aggregate_trace,
+    funnel_totals,
+)
 from repro.orchestrate.fleet import (
     WIRE_VERSION,
     TaskEnvelope,
@@ -46,8 +51,9 @@ from repro.orchestrate.pipeline import (
 from repro.pmc.identify import identify_pmcs
 from repro.profile.profiler import profile_from_result
 from repro.sched.executor import Executor
-from repro.sched.prefixfork import PRUNE_MIN_TRIALS, PrefixMemo
+from repro.sched.prefixfork import PRUNE_MIN_TRIALS, PrefixMemo, Served
 from repro.sched.random_sched import RandomScheduler
+from repro.sched.ski import SkiScheduler
 from repro.sched.snowboard import SnowboardScheduler
 
 GOLDEN_CONFIG = dict(seed=7, corpus_budget=120, trials_per_pmc=8)
@@ -418,7 +424,8 @@ class TestWireV2:
         # envelopes and generation-stamped results for the transport
         # layer; v4 added the result's pruned count.  The roundtrip
         # tests in this class pin the v2 fields.
-        assert WIRE_VERSION == 4
+        # v5 added the outcome's schedule_hit and new_schedule flags.
+        assert WIRE_VERSION == 5
 
     def test_outcome_roundtrips_forked_flag(self):
         outcome = TrialOutcome(
@@ -454,3 +461,314 @@ class TestWireV2:
         decoded = TaskEnvelope.from_task(task).to_task()
         assert decoded.prefix_fork is False
         assert decoded.prune_commuting is True
+
+
+# -- the schedule trie: repeats served from recordings ----------------------
+
+
+class Scripted:
+    """Switches at the listed scheduler calls (1-based) of each trial;
+    trial ``t`` follows ``plans[t % len(plans)]``.  ``log`` keeps every
+    access it was shown, so two runs can be compared call for call."""
+
+    def __init__(self, plans):
+        self.plans = plans
+        self.log = []
+
+    def begin_trial(self, trial):
+        self.calls = 0
+        self.plan = self.plans[trial % len(self.plans)]
+
+    def on_access(self, access):
+        self.calls += 1
+        self.log.append((access.seq, access.thread, access.ins))
+        return self.calls in self.plan
+
+    def end_trial(self, result):
+        pass
+
+
+def assert_trie_invisible(executor, writer, reader, make_scheduler, trials, pmc=None):
+    """Like :func:`assert_memo_equivalent`, and also demand the same RNG
+    state and the same accesses shown to the scheduler after every
+    trial.  Returns the served flags and the memo."""
+    base_sched = make_scheduler()
+    memo_sched = make_scheduler()
+    memo = PrefixMemo(executor, writer, reader, pmc=pmc)
+    served = []
+    for trial in range(trials):
+        base_sched.begin_trial(trial)
+        base = executor.run_concurrent(
+            [writer, reader], scheduler=base_sched, race_detector=RaceDetector()
+        )
+        base_sched.end_trial(base)
+
+        memo_sched.begin_trial(trial)
+        result, flag = memo.run_trial(memo_sched, RaceDetector())
+        memo_sched.end_trial(result)
+        served.append(flag)
+
+        assert result_fields(result) == result_fields(base), f"trial {trial}"
+        assert scheduler_state(memo_sched) == scheduler_state(base_sched), trial
+        if hasattr(base_sched, "rng"):
+            assert memo_sched.rng.getstate() == base_sched.rng.getstate(), trial
+        if hasattr(base_sched, "log"):
+            assert memo_sched.log == base_sched.log, trial
+        if flag == Served.LEAF:
+            assert result.pages_restored == 0
+    return served, memo
+
+
+@pytest.fixture(scope="module")
+def toy():
+    """A kernel with syscalls built to end trials every way a leaf can."""
+    from repro.kernel import sync
+
+    kernel, _ = boot_kernel()
+    flag = kernel.static_alloc("memo_flag", 4)
+    lock_a = kernel.static_alloc("memo_lock_a", 4)
+    lock_b = kernel.static_alloc("memo_lock_b", 4)
+
+    def sys_set_flag(ctx):
+        yield from ctx.load(flag, 4)
+        yield from ctx.store(flag, 4, 1)
+        return 0
+
+    def sys_bug_if_flag(ctx):
+        seen = yield from ctx.load(flag, 4)
+        yield from ctx.bug_on(seen == 1, "BUG: memo flag seen")
+        return 0
+
+    def sys_wait_flag(ctx):
+        # Spins without PAUSE: only a liveness mark can preempt it.
+        while (yield from ctx.load(flag, 4)) == 0:
+            pass
+        return 0
+
+    def locking(first, second):
+        def handler(ctx):
+            yield from sync.spin_lock(ctx, first)
+            yield from sync.spin_lock(ctx, second)
+            yield from sync.spin_unlock(ctx, second)
+            yield from sync.spin_unlock(ctx, first)
+            return 0
+
+        return handler
+
+    kernel.register_syscall("memo_set_flag", sys_set_flag)
+    kernel.register_syscall("memo_bug_if_flag", sys_bug_if_flag)
+    kernel.register_syscall("memo_wait_flag", sys_wait_flag)
+    kernel.register_syscall("memo_ab", locking(lock_a, lock_b))
+    kernel.register_syscall("memo_ba", locking(lock_b, lock_a))
+    return kernel, Snapshot.capture(kernel.machine)
+
+
+def toy_prog(name):
+    return prog(Call(name, ()))
+
+
+def pair_pmc(executor, writer, reader):
+    """A PMC identified from the pair's own profiles (writer to reader
+    first), or None."""
+    pw = profile_from_result(0, writer, executor.run_sequential(writer))
+    pr = profile_from_result(1, reader, executor.run_sequential(reader))
+    pmcset = identify_pmcs([pw, pr])
+    pmcs = list(pmcset)
+    directed = [p for p in pmcs if (0, 1) in pmcset.pairs(p)]
+    return (directed or pmcs or [None])[0]
+
+
+class TestScheduleTrie:
+    def test_branch_below_the_first_switch(self, env):
+        """Trial 1 leaves trial 0's path after three shared switches,
+        trial 2 leaves trial 1's grafted branch; repeats are leaves."""
+        executor, writer, reader, *_ = env
+        plans = [{5, 40, 80}, {5, 40, 100}, {5, 40, 100, 110}]
+        served, memo = assert_trie_invisible(
+            executor, writer, reader, lambda: Scripted(plans), trials=6
+        )
+        assert served == [Served.LIVE, Served.FORK, Served.FORK] + [Served.LEAF] * 3
+        (first,) = memo._root.branches.values()
+        (grafted,) = first.branches.values()
+        assert grafted.branches, "trial 2 must branch off trial 1's graft"
+        a, b = first.leaf.switch_points, grafted.leaf.switch_points
+        shared = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        assert shared >= 2, (a, b)
+
+    def test_answers_that_cannot_take_effect_stay_on_the_path(self, env):
+        """Call 170 comes after the writer finished: switching there is
+        impossible, so the second plan repeats the first's schedule."""
+        executor, writer, reader, *_ = env
+        plans = [{5, 40, 100}, {5, 40, 100, 170}]
+        served, _ = assert_trie_invisible(
+            executor, writer, reader, lambda: Scripted(plans), trials=2
+        )
+        assert served == [Served.LIVE, Served.LEAF]
+
+    @pytest.mark.parametrize(
+        "writer, reader, plan",
+        [
+            # The reader spins on the taken lock: PAUSE forces switches.
+            ("memo_ab", "memo_ab", {2}),
+            # The reader spins on a plain load: a liveness mark forces it.
+            ("memo_set_flag", "memo_wait_flag", {1}),
+            # The writer spins solo: a liveness mark forces the first
+            # switch, inside the root's recording.
+            ("memo_wait_flag", "memo_set_flag", set()),
+        ],
+    )
+    def test_forced_switches_on_a_recorded_path(self, toy, writer, reader, plan):
+        kernel, snapshot = toy
+        executor = Executor(kernel, snapshot, max_instructions=500)
+        served, memo = assert_trie_invisible(
+            executor, toy_prog(writer), toy_prog(reader), lambda: Scripted([plan]), trials=4
+        )
+        assert served == [Served.LIVE] + [Served.LEAF] * 3
+        (leaf,) = memo._root.branches.values()
+        assert leaf.leaf.switches > len(plan), "a forced switch must be on the path"
+
+    @pytest.mark.parametrize(
+        "writer, reader, plan, budget, ending",
+        [
+            ("memo_ab", "memo_ba", {2}, 200_000, "deadlocked"),
+            ("memo_set_flag", "memo_wait_flag", {1}, 9, "budget_exceeded"),
+            ("memo_set_flag", "memo_bug_if_flag", {2}, 200_000, "panicked"),
+        ],
+    )
+    def test_leaves_for_every_ending(self, toy, writer, reader, plan, budget, ending):
+        kernel, snapshot = toy
+        executor = Executor(kernel, snapshot, max_instructions=budget)
+        served, memo = assert_trie_invisible(
+            executor, toy_prog(writer), toy_prog(reader), lambda: Scripted([plan]), trials=4
+        )
+        assert served == [Served.LIVE] + [Served.LEAF] * 3
+        (node,) = memo._root.branches.values()
+        assert getattr(node.leaf, ending)
+        assert not node.leaf.completed
+
+    def test_flags_learned_on_a_walk_steer_later_trials(self, env):
+        """Trial 0 never switches, so it is served from the root's leaf:
+        only the walk shows it the PMC accesses, and the flags it learns
+        there (and the PMCs it adopts) move later trials' coin flips off
+        every recorded path."""
+        executor, writer, reader, pmc, universe = env
+
+        def make():
+            return SnowboardScheduler(pmc, seed=0, universe=universe[:40], max_adopted=3)
+
+        served, _ = assert_trie_invisible(
+            executor, writer, reader, make, trials=24, pmc=pmc
+        )
+        scheduler = make()
+        memo = PrefixMemo(executor, writer, reader, pmc=pmc)
+        scheduler.begin_trial(0)
+        result, flag = memo.run_trial(scheduler, RaceDetector())
+        assert flag == Served.LEAF and result.switches == 0
+        assert scheduler.flags, "the walk must learn flags"
+        scheduler.end_trial(result)
+        assert scheduler.stats()["adopted"] == 1
+        assert served[0] == Served.LEAF
+        assert Served.LIVE in served[1:] and Served.FORK in served[1:]
+
+
+def generated_pair(seed):
+    return ProgramGenerator(seed=seed).generate(), ProgramGenerator(seed=seed + 1).generate()
+
+
+class TestScheduleTrieProperties:
+    """Hypothesis: the trie is invisible over generated program pairs."""
+
+    @given(seed=st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=8, deadline=None)
+    def test_snowboard_with_the_pairs_own_pmc(self, env, seed):
+        executor, *_ = env
+        writer, reader = generated_pair(seed)
+        pmc = pair_pmc(executor, writer, reader)
+        assume(pmc is not None)
+        assert_trie_invisible(
+            executor, writer, reader,
+            lambda: SnowboardScheduler(pmc, seed=seed), trials=16, pmc=pmc,
+        )
+
+    @given(seed=st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=8, deadline=None)
+    def test_ski(self, env, seed):
+        executor, *_ = env
+        writer, reader = generated_pair(seed)
+        pmc = pair_pmc(executor, writer, reader)
+        assume(pmc is not None)
+        assert_trie_invisible(
+            executor, writer, reader, lambda: SkiScheduler(pmc, seed=seed), trials=16
+        )
+
+    @given(seed=st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=8, deadline=None)
+    def test_random_always_switching(self, env, seed):
+        """p=1.0 repeats one deep schedule: every trial after the first
+        is a leaf."""
+        executor, *_ = env
+        writer, reader = generated_pair(seed)
+        served, _ = assert_trie_invisible(
+            executor, writer, reader,
+            lambda: RandomScheduler(seed=seed, switch_probability=1.0), trials=16,
+        )
+        assert all(flag == Served.LEAF for flag in served[1:])
+
+
+def traced_totals(workers=1, fleet=None, **overrides):
+    """(campaign, funnel counters incl. history-dependent ones, funnel
+    totals) of a traced golden campaign."""
+    config = SnowboardConfig(**GOLDEN_CONFIG, **overrides)
+    sink = MemorySink()
+    obs = Observer(sink)
+    campaign = Snowboard(config, observer=obs).run_campaign(
+        "S-INS-PAIR", test_budget=TEST_BUDGET, workers=workers, fleet=fleet
+    )
+    stats = aggregate_trace({}, sink.events)
+    return campaign, stats.counters, funnel_totals(stats)
+
+
+class TestScheduleCounters:
+    @pytest.fixture(scope="class")
+    def memo_off(self):
+        return traced_totals(prefix_fork=False)
+
+    def test_every_repeat_is_served(self):
+        campaign, counters, _ = traced_totals()
+        trials = counters["stage4.trials"]
+        assert trials == campaign.trials
+        assert counters["stage4.schedule_hits"] > 0
+        assert counters["stage4.schedule_hits"] + counters["stage4.schedules"] >= trials
+        assert counters["stage4.schedules"] < trials
+
+    def test_memo_off_counts_the_same_schedules(self, memo_off):
+        _, counters, _ = memo_off
+        assert counters["stage4.schedules"] > 0
+        assert counters.get("stage4.schedule_hits", 0) == 0
+
+    @pytest.mark.parametrize(
+        "workers, fleet", [(1, None), (2, "processes"), (2, "sockets")]
+    )
+    def test_funnel_totals_match_memo_off(self, memo_off, workers, fleet):
+        campaign, _, totals = traced_totals(workers=workers, fleet=fleet)
+        assert "stage4.schedules" in totals
+        assert "stage4.schedule_hits" not in totals
+        assert totals == memo_off[2]
+        assert campaign.summary() == memo_off[0].summary()
+
+    def test_schedule_rows_in_the_funnel(self):
+        keys = {key for _, _, key in FUNNEL_LAYOUT}
+        assert {"stage4.schedules", "stage4.schedule_hits"} <= keys
+        assert "stage4.schedule_hits" in HISTORY_DEPENDENT
+        assert "stage4.schedules" not in HISTORY_DEPENDENT
+
+    def test_outcome_roundtrips_schedule_flags(self):
+        outcome = TrialOutcome(
+            trial=1,
+            instructions=9,
+            pages_restored=0,
+            restore_seconds=0.0,
+            schedule_hit=True,
+            new_schedule=True,
+        )
+        assert outcome_from_obj(outcome_to_obj(outcome)) == outcome

@@ -272,3 +272,32 @@ def test_trace_offset_must_start_a_line(tmp_path):
         daemon._httpd.shutdown()
         thread.join(timeout=10)
         daemon.service.stop()
+
+
+def test_packages_of_a_journal_without_a_whole_line(tmp_path):
+    """A checkpoint with no whole line (empty, or a torn header) has no
+    packages yet: 200 with ``{}``, never a 500.  A whole line that is
+    no header still fails."""
+    from repro.service.daemon import ServiceDaemon
+
+    data = str(tmp_path / "svc")
+    daemon = ServiceDaemon(data)
+    thread = threading.Thread(target=daemon._httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient.connect(data)
+        job_id = client.submit("alice", SPECS["alice"])["job_id"]
+        path = daemon.service.registry.checkpoint_path(job_id)
+        for content in ("", '{"kind": "head'):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
+            assert client.packages(job_id) == {}, repr(content)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"kind": "task"}\n')
+        with pytest.raises(ServiceClientError) as err:
+            client.packages(job_id)
+        assert err.value.status == 500
+    finally:
+        daemon._httpd.shutdown()
+        thread.join(timeout=10)
+        daemon.service.stop()
