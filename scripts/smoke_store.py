@@ -1,13 +1,16 @@
 #!/usr/bin/env python
 """CI smoke: kill-and-resume a campaign spilled to the tiered PMC store.
 
-Runs a 2-round checkpointed campaign with the access index spilled to
-an on-disk store and the hot tier forced to a tenth of the access set
-(so eviction and cold probes genuinely happen), kills the
-process-equivalent mid-round-2, then resumes from the journal *and* the
-store manifest in a fresh Snowboard.  The resumed summary and round log
-must be bit-identical to an uninterrupted fully in-memory run of the
-same campaign — the end-to-end contract of DESIGN.md §2.14, exercised
+Runs a 3-round checkpointed campaign with the access index spilled to
+an on-disk store and the hot tier forced to a hundredth of the access
+set (so most buckets are cold: inserts into them append to the store
+only, and scans rebuild them), kills the process-equivalent
+mid-round-3, then resumes from the journal *and* the store manifest in
+a fresh Snowboard, which replays two delta rounds through the cold
+appends and the grown pair index and cluster maps.  The resumed
+summary and round log must be bit-identical to an uninterrupted fully
+in-memory run of the same campaign — the end-to-end contract of
+DESIGN.md §2.14, exercised
 through the same code path the CLI's ``campaign --pmc-spill-dir
 --pmc-hot-mb --checkpoint --resume`` uses, cheap enough for every CI
 run.
@@ -30,7 +33,7 @@ from repro.orchestrate.pipeline import Snowboard, SnowboardConfig  # noqa: E402
 from repro.pmc.store import MANIFEST_NAME  # noqa: E402
 
 CONFIG = SnowboardConfig(seed=7, corpus_budget=120, trials_per_pmc=4)
-ROUNDS = 2
+ROUNDS = 3
 ROUND_BUDGET = 3
 
 
@@ -71,15 +74,16 @@ def main() -> int:
     reference = Snowboard(CONFIG)
     expected = reference.run_rounds(ROUNDS, ROUND_BUDGET)
 
-    # Force the hot tier to a tenth of the reference access set.
+    # Force the hot tier to a hundredth of the reference access set.
     writes, reads = reference.state.index.counts()
-    hot_capacity = max(1, (writes + reads) // 10)
+    hot_capacity = max(1, (writes + reads) // 100)
     config = dataclasses.replace(
         CONFIG, pmc_spill_dir=spill_dir, pmc_hot_records=hot_capacity
     )
 
-    # Kill mid-round-2, after the round boundary is journalled.
-    kill_after = reference.state.rounds_log[0].ntests + 1
+    # Kill mid-round-3, after the round boundary is journalled.
+    log = reference.state.rounds_log
+    kill_after = log[0].ntests + log[1].ntests + 1
     run_until_killed(config, journal, kill_after=kill_after)
     if not os.path.exists(os.path.join(spill_dir, MANIFEST_NAME)):
         print("smoke_store: FAILED — no store manifest after the kill")
@@ -113,10 +117,11 @@ def main() -> int:
 
     hot, total = resumed_sb.state.index.tier_counts()
     print(
-        f"smoke_store: green — killed mid-round-2 (after {kill_after} tests), "
+        f"smoke_store: green — killed mid-round-3 (after {kill_after} tests), "
         f"resumed from journal + store manifest to an identical summary "
         f"(hot {hot}/{total} records, evictions={stats['evictions']}, "
-        f"cold probes={stats['cold_probes']}, trials={resumed.trials})"
+        f"cold probes={stats['cold_probes']}, rebuilds={stats['rebuilds']}, "
+        f"trials={resumed.trials})"
     )
     return 0
 

@@ -108,6 +108,7 @@ FUNNEL_LAYOUT: Tuple[Tuple[str, str, str], ...] = (
     ("2 PMC identification", "store hot-tier hits", "store.hot_hits"),
     ("2 PMC identification", "store cold probes", "store.cold_probes"),
     ("2 PMC identification", "store bucket evictions", "store.evictions"),
+    ("2 PMC identification", "store bucket rebuilds", "store.rebuilds"),
     ("3 selection", "PMCs filtered out", "stage3.filtered"),
     ("3 selection", "clusters kept", "stage3.clusters"),
     ("3 selection", "duplicate exemplars skipped", "stage3.duplicates"),
@@ -145,19 +146,20 @@ def funnel_rows(stats: TraceStats) -> List[List[str]]:
 #: (one warm executor) and a fleet (each worker's first restore copies
 #: the full snapshot) — the same reason ``restore_seconds`` is kept out
 #: of ``CampaignResult.summary()``.  The PMC-store tier counters are the
-#: same class of fact: hot hits, cold probes and evictions describe the
-#: cache configuration, not the campaign, and a spilled run must compare
-#: equal to an in-memory one.  Schedule hits, prefix-fork hits and
-#: pruned-trial credits are likewise execution-strategy facts: a memo-off
-#: run serves nothing from recordings, and ``--prune-commuting``
-#: deliberately runs fewer trials — neither may break funnel
-#: equivalence.  Displayed, but not compared.
+#: same class of fact: hot hits, cold probes, evictions and rebuilds
+#: describe the cache configuration, not the campaign, and a spilled run
+#: must compare equal to an in-memory one.  Schedule hits, prefix-fork
+#: hits and pruned-trial credits are likewise execution-strategy facts:
+#: a memo-off run serves nothing from recordings, and
+#: ``--prune-commuting`` deliberately runs fewer trials — neither may
+#: break funnel equivalence.  Displayed, but not compared.
 HISTORY_DEPENDENT = frozenset(
     {
         "restore.pages",
         "store.hot_hits",
         "store.cold_probes",
         "store.evictions",
+        "store.rebuilds",
         "stage4.schedule_hits",
         "stage4.prefix_fork_hits",
         "stage4.trials_pruned",
@@ -187,12 +189,14 @@ def store_tiers(stats: TraceStats) -> Optional[Dict[str, Number]]:
     """Hot/cold tier traffic of the out-of-core PMC store.
 
     ``None`` for in-memory traces (no ``store.*`` counters); otherwise
-    the probe counts, the hot-tier hit rate, and the eviction count.
+    the probe counts, the hot-tier hit rate, the eviction count, and
+    how many cold buckets were rebuilt from the store.
     """
     hot = stats.counters.get("store.hot_hits")
     cold = stats.counters.get("store.cold_probes")
     evictions = stats.counters.get("store.evictions")
-    if hot is None and cold is None and evictions is None:
+    rebuilds = stats.counters.get("store.rebuilds")
+    if hot is None and cold is None and evictions is None and rebuilds is None:
         return None
     hot = hot or 0
     cold = cold or 0
@@ -203,6 +207,7 @@ def store_tiers(stats: TraceStats) -> Optional[Dict[str, Number]]:
         "probes": probes,
         "hot_rate": (hot / probes) if probes else 0.0,
         "evictions": evictions or 0,
+        "rebuilds": rebuilds or 0,
     }
 
 

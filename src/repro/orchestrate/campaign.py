@@ -15,6 +15,9 @@ that loop possible without ever rebuilding from scratch:
   scans instead of full rescans),
 * the :class:`~repro.pmc.selection.SelectionHistory` of tested clusters
   and exemplars (the §4.3 "excluding those tested before" rule),
+* the (writer, reader) pair -> PMCs index and each strategy's cluster
+  map, grown by each round's new pairs and PMCs rather than rebuilt
+  (PMCs and their pairs are only ever appended),
 * the global Stage-4 test position (schedulers stay seeded
   ``seed + test_index``, so round campaigns checkpoint/resume exactly
   like batch ones).
@@ -28,12 +31,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fuzz.generator import ProgramGenerator
+from repro.pmc.clustering import ClusteringStrategy
+from repro.pmc.identify import PmcSet
 from repro.pmc.index import AccessIndex
 from repro.pmc.model import PMC
-from repro.pmc.selection import SelectionHistory
+from repro.pmc.selection import SelectionHistory, grow_clusters
 
 #: The batch path's selection-RNG salt (``seed ^ SELECTION_SALT``); kept
 #: as a named constant so the round derivation provably matches it.
@@ -104,7 +109,37 @@ class CampaignState:
     profiled_watermark: int = 0  # corpus entries profiled so far
     next_test_index: int = 0  # global Stage-4 test position
     rounds_log: List[RoundInfo] = field(default_factory=list)
+    pair_index: Dict[Tuple[int, int], List[PMC]] = field(default_factory=dict)
+    pairs_indexed: List[int] = field(default_factory=list)  # per PmcSet position
+    # Strategy name -> (its cluster map, PmcSet prefix length it covers).
+    cluster_maps: Dict[str, Tuple[Dict, int]] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, seed: int) -> "CampaignState":
         return cls(generator=ProgramGenerator(seed))
+
+    def grow_pair_index(self, pmcset: PmcSet) -> None:
+        """Add the pairs ``pmcset`` gained since the last call to
+        :attr:`pair_index`.  Each has a new test in it, so it is a new
+        key, and visiting PMCs in PmcSet order lists its PMCs as a
+        rebuild would.  Progress is kept by PmcSet position: hashing a
+        PMC is slow."""
+        indexed = self.pairs_indexed
+        indexed.extend([0] * (len(pmcset) - len(indexed)))
+        for position, (pmc, pairs) in enumerate(pmcset.pmcs.items()):
+            if indexed[position] < len(pairs):
+                for pair in pairs[indexed[position] :]:
+                    self.pair_index.setdefault(pair, []).append(pmc)
+                indexed[position] = len(pairs)
+
+    def clusters(
+        self, strategy: ClusteringStrategy, pmcs: List[PMC]
+    ) -> Dict[Tuple, List[PMC]]:
+        """``cluster_pmcs(pmcs, strategy)`` over the PmcSet's PMCs, grown
+        from the last call's map: PMCs are only ever appended, so
+        clustering the new tail alone keeps keys in first-seen order and
+        members in PmcSet order."""
+        clusters, done = self.cluster_maps.get(strategy.name, ({}, 0))
+        grow_clusters(clusters, pmcs[done:], strategy)
+        self.cluster_maps[strategy.name] = (clusters, len(pmcs))
+        return clusters

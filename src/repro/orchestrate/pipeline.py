@@ -36,7 +36,7 @@ from repro.orchestrate.results import CampaignResult
 from repro.pmc.clustering import STRATEGIES_BY_NAME
 from repro.pmc.identify import PmcSet, identify_delta
 from repro.pmc.model import PMC
-from repro.pmc.selection import SelectionHistory, cluster_pmcs, ordered_exemplars
+from repro.pmc.selection import SelectionHistory, ordered_exemplars
 from repro.profile.profiler import TestProfile, profile_new
 from repro.sched.executor import Executor
 from repro.sched.random_sched import RandomScheduler
@@ -406,7 +406,6 @@ class Snowboard:
         # Incremental campaign memory (generator, access index, tested
         # history, watermarks); created by prepare(), advanced per round.
         self.state: Optional[CampaignState] = None
-        self._pair_index: Optional[Dict[Tuple[int, int], List[PMC]]] = None
         # Test-only fault injection shipped to fleet workers (a
         # repro.orchestrate.fleet.FleetFault); None in real campaigns.
         self.fleet_fault = None
@@ -499,8 +498,8 @@ class Snowboard:
         Advances the profiled-test watermark, runs the delta overlap scan
         against the accumulated access index (each overlapping pair is
         classified exactly once across the campaign's lifetime), and
-        rebuilds the eager (writer, reader) pair index.  Returns
-        ``(new_profiles, new_pmcs, new_pairs)``.
+        grows the eager (writer, reader) pair index by the new pairs.
+        Returns ``(new_profiles, new_pmcs, new_pairs)``.
         """
         state = self.state
         new_entries = self.corpus.entries[state.profiled_watermark :]
@@ -514,31 +513,20 @@ class Snowboard:
         # hot tier can evict freely and a round-boundary checkpoint only
         # has the manifest left to write.
         state.index.flush()
-        self._pair_index = None
-        self._build_pair_index()
+        state.grow_pair_index(self.pmcset)
         return len(new_profiles), new_pmcs, new_pairs
 
     def _program(self, test_id: int) -> Program:
         return self.corpus.entries[test_id].program
 
-    def _build_pair_index(self) -> Dict[Tuple[int, int], List[PMC]]:
-        """Build the (writer, reader) pair -> PMCs index.
-
-        Built eagerly at the end of every ingest (prepare() and each
-        round's delta), so Stage-4 dispatch only ever reads it through
-        :meth:`_pmcs_for_pair`.
-        """
-        if self._pair_index is None:
-            index: Dict[Tuple[int, int], List[PMC]] = {}
-            for pmc, pairs in self.pmcset.pmcs.items():
-                for p in pairs:
-                    index.setdefault(p, []).append(pmc)
-            self._pair_index = index
-        return self._pair_index
+    @property
+    def _pair_index(self) -> Optional[Dict[Tuple[int, int], List[PMC]]]:
+        """The campaign's pair -> PMCs index (``None`` before prepare())."""
+        return None if self.state is None else self.state.pair_index
 
     def _pmcs_for_pair(self, pair: Tuple[int, int]) -> List[PMC]:
         """All identified PMCs exhibited by this (writer, reader) pair."""
-        return self._build_pair_index().get(pair, [])
+        return self.state.pair_index.get(pair, [])
 
     # -- stage 3: concurrent test generation ---------------------------------------
 
@@ -573,7 +561,7 @@ class Snowboard:
         else:
             clustering = STRATEGIES_BY_NAME[strategy]
         pmcs = self.pmcset.all_pmcs()
-        nclusters = len(cluster_pmcs(pmcs, clustering))
+        clusters = self.state.clusters(clustering, pmcs)
         exemplars = ordered_exemplars(
             pmcs,
             clustering,
@@ -582,11 +570,12 @@ class Snowboard:
             limit=limit,
             obs=self.obs,
             history=history,
+            clusters=clusters,
         )
         tests = self.tests_from_exemplars(exemplars, rng)
         if self.obs.enabled:
             self.obs.count("stage3.tests", len(tests))
-        return tests, nclusters
+        return tests, len(clusters)
 
     def tests_from_exemplars(
         self, exemplars: Sequence[PMC], rng: Optional[random.Random] = None

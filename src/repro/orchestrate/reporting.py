@@ -148,16 +148,18 @@ def render_store_tiers(
 
     ``tiers`` comes from :func:`repro.obs.stats.store_tiers`: bucket
     probes served from the in-memory hot tier vs reconstructed from
-    segment files, the resulting hot-tier hit rate, and how many buckets
-    were evicted to disk.
+    segment files, the resulting hot-tier hit rate, how many buckets
+    were evicted to disk, and how many cold buckets were rebuilt from
+    their segments (the tier's real cost).
     """
-    header = ["Hot hits", "Cold probes", "Hot rate", "Evictions"]
+    header = ["Hot hits", "Cold probes", "Hot rate", "Evictions", "Rebuilds"]
     rows = [
         [
             f"{int(tiers.get('hot_hits', 0)):,}",
             f"{int(tiers.get('cold_probes', 0)):,}",
             f"{tiers.get('hot_rate', 0.0):.1%}",
             f"{int(tiers.get('evictions', 0)):,}",
+            f"{int(tiers.get('rebuilds', 0)):,}",
         ]
     ]
     return _render(header, rows, markdown)

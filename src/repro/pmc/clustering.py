@@ -64,15 +64,6 @@ class ClusteringStrategy:
             return []
         return [(i,) + key(features) for i, key in enumerate(self.keys)]
 
-    def accepts(self, pmc: PMC) -> bool:
-        """True when the PMC passes this strategy's filter predicate.
-
-        The cheap membership probe behind the Stage-3 ``filtered``
-        funnel counter: it evaluates the filter without building the
-        cluster keys.
-        """
-        return self.filter(pmc_features(pmc))
-
 
 def _true(_: PmcFeatures) -> bool:
     return True

@@ -178,7 +178,7 @@ def identify_delta(
         if tier_before is not None:
             # Tier traffic this delta contributed (store.stats is
             # cumulative across the store's lifetime).
-            for key in ("hot_hits", "cold_probes", "evictions"):
+            for key in ("hot_hits", "cold_probes", "evictions", "rebuilds"):
                 delta = store.stats[key] - tier_before[key]
                 if delta:
                     obs.count(f"store.{key}", delta)

@@ -25,11 +25,12 @@ The index is also *tiered* (DESIGN.md §2.14): constructed with a
 evicts least-recently-touched buckets from RAM once the hot tier
 exceeds that many records.  Evicted buckets leave their key in the
 outer dict (a sentinel preserves outer iteration order — the property
-the golden-equivalence tests pin); a probe of a cold bucket
-reconstructs it by replaying the store's records in seq order, which
-reproduces the exact nested first-occurrence iteration order of the
-in-memory bucket.  A spilled scan therefore yields groups and overlaps
-in the bit-identical order of an unspilled one.
+the golden-equivalence tests pin) and stay cold: an insert into one
+appends to the store only, and a probe of one reconstructs it by
+replaying the store's records in seq order, which reproduces the exact
+nested first-occurrence iteration order of the in-memory bucket.  A
+spilled scan therefore yields groups and overlaps in the bit-identical
+order of an unspilled one.
 """
 
 from __future__ import annotations
@@ -185,26 +186,32 @@ class AccessIndex:
         else:
             side = self._reads
             self._nreads += 1
+        seq = self._seq
+        self._seq = seq + 1
         bucket = side.get(access.addr)
+        cold = bucket is _COLD
         if bucket is None:
             bucket = side[access.addr] = _Bucket()
             if self.store is not None:
                 self._hot_lru[(is_write, access.addr)] = bucket
-        elif bucket is _COLD:
-            bucket = self._rehydrate(is_write, access.addr)
-        seq = self._seq
-        bucket.insert(access, test_id, seq)
-        self._seq = seq + 1
+        elif cold:
+            # A cold bucket stays cold: the store and the zone map take
+            # the record, and so does a cold-cache copy, which must stay
+            # complete.  The next scan that needs the bucket loads it.
+            bucket = self._cold_cache.get((is_write, access.addr))
+        if bucket is not None:
+            bucket.insert(access, test_id, seq)
         if self.store is not None:
             self.store.append(access, test_id, seq)
             if is_write:
                 self._write_maxseq[access.addr] = seq
             else:
                 self._read_maxseq[access.addr] = seq
-            self._hot_records += 1
-            self._hot_lru.move_to_end((is_write, access.addr))
-            if self.hot_capacity is not None and self._hot_records > self.hot_capacity:
-                self._evict()
+            if not cold:
+                self._hot_records += 1
+                self._hot_lru.move_to_end((is_write, access.addr))
+                if self.hot_capacity is not None and self._hot_records > self.hot_capacity:
+                    self._evict()
 
     def insert_profile(self, profile) -> None:
         """Index every access of a test profile."""
@@ -238,21 +245,6 @@ class AccessIndex:
             self._hot_records -= bucket.nrecords
             stats["evictions"] += 1
 
-    def _rehydrate(self, is_write: bool, addr: int) -> _Bucket:
-        """Bring a cold bucket back hot before inserting into it.
-
-        Inserting into a partial bucket would make later probes miss the
-        spilled prefix, so the invariant is: hot buckets are complete.
-        """
-        bucket = self._cold_cache.pop((is_write, addr), None)
-        if bucket is None:
-            bucket = self._build_bucket(is_write, addr)
-        side = self._writes if is_write else self._reads
-        side[addr] = bucket
-        self._hot_lru[(is_write, addr)] = bucket
-        self._hot_records += bucket.nrecords
-        return bucket
-
     def _build_bucket(self, is_write: bool, addr: int) -> _Bucket:
         """Reconstruct one bucket from the store.
 
@@ -267,6 +259,7 @@ class AccessIndex:
         bucket probed mid-replay must contain exactly what the index has
         re-inserted so far, not what the killed run eventually spilled.
         """
+        self.store.stats["rebuilds"] += 1
         bucket = _Bucket()
         seq_limit = self._seq
         for access, test_id, seq in self.store.load_bucket(is_write, addr):

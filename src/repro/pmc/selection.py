@@ -49,7 +49,13 @@ def cluster_pmcs(
     pmcs: Sequence[PMC], strategy: ClusteringStrategy
 ) -> Dict[Tuple, List[PMC]]:
     """Group PMCs by the strategy's cluster key(s), applying its filter."""
-    clusters: Dict[Tuple, List[PMC]] = {}
+    return grow_clusters({}, pmcs, strategy)
+
+
+def grow_clusters(
+    clusters: Dict[Tuple, List[PMC]], pmcs: Sequence[PMC], strategy: ClusteringStrategy
+) -> Dict[Tuple, List[PMC]]:
+    """Add ``pmcs`` to the cluster map ``clusters`` in place; returns it."""
     for pmc in pmcs:
         for key in strategy.cluster_keys(pmc):
             clusters.setdefault(key, []).append(pmc)
@@ -64,8 +70,12 @@ def ordered_exemplars(
     limit: Optional[int] = None,
     obs=NULL_OBSERVER,
     history: Optional[SelectionHistory] = None,
+    clusters: Optional[Dict[Tuple, List[PMC]]] = None,
 ) -> List[PMC]:
     """One exemplar per cluster, uncommon (smallest) clusters first.
+
+    ``clusters`` is ``cluster_pmcs(pmcs, strategy)`` when the caller
+    has it already (round-based campaigns grow it); it is only read.
 
     With ``random_order`` the cluster order is shuffled instead (the
     Random S-INS-PAIR baseline).  A PMC already chosen as another
@@ -85,7 +95,8 @@ def ordered_exemplars(
     — land on ``obs``.
     """
     with obs.span("stage3.select", strategy=strategy.name) as span:
-        clusters = cluster_pmcs(pmcs, strategy)
+        if clusters is None:
+            clusters = cluster_pmcs(pmcs, strategy)
         items = list(clusters.items())
         if random_order:
             # Stable order first so the shuffle is reproducible from the seed.
@@ -127,7 +138,9 @@ def ordered_exemplars(
         )
     if obs.enabled:
         obs.count("stage3.clusters", len(clusters))
-        obs.count("stage3.filtered", sum(1 for p in pmcs if not strategy.accepts(p)))
+        # Every accepted PMC sits in one cluster per key function.
+        accepted = sum(map(len, clusters.values())) // len(strategy.keys)
+        obs.count("stage3.filtered", len(pmcs) - accepted)
         obs.count("stage3.duplicates", deduped)
         obs.count("stage3.tested_before", skipped_tested)
         obs.count("stage3.exemplars", len(chosen))

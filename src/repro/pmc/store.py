@@ -31,11 +31,11 @@ Design (DESIGN.md §2.14):
   (:func:`repro.durable.write_atomic`): per-shard durable lengths and
   chained content digests, the interned string table, the seq
   watermark, and the history of previous checkpoints.  Reopening a
-  store truncates each segment to its manifest length (discarding torn
-  appends), and re-inserted records with ``seq < durable_seq`` are
-  skipped instead of duplicated — the resume path of a killed campaign
-  recomputes its insert stream and converges on byte-identical
-  segments.
+  store truncates each segment to its manifest length and removes the
+  segments it does not list (discarding torn appends), and re-inserted
+  records with ``seq < durable_seq`` are skipped instead of duplicated
+  — the resume path of a killed campaign recomputes its insert stream
+  and converges on byte-identical segments.
 """
 
 from __future__ import annotations
@@ -166,6 +166,7 @@ class AccessStore:
             "hot_hits": 0,
             "cold_probes": 0,
             "evictions": 0,
+            "rebuilds": 0,
             "shard_loads": 0,
             "spilled_records": 0,
         }
@@ -252,6 +253,11 @@ class AccessStore:
                     handle.truncate(shard.length)
             is_write, shard_id = self._parse_name(shard.name)
             self._shards[(is_write, shard_id)] = shard
+        adopted = {shard.name for shard in self._shards.values()}
+        for name in os.listdir(self.root):
+            if name.endswith(".seg") and name not in adopted:
+                # Begun after the checkpoint: a re-append would follow it.
+                os.remove(os.path.join(self.root, name))
         self.stats["spilled_records"] = sum(
             s.records for s in self._shards.values()
         )
