@@ -9,8 +9,9 @@
 #   lint    — step 0 only
 #   tests   — steps 1-2 (tier-1 + the -O pass)
 #   smokes  — steps 3-8 (CLI smoke + every kill-and-resume smoke)
-#   perf    — step 9 only (the paired benchmark compare)
-#   all     — steps 0-8 (the default)
+#   paper   — step 9 only (the paper's evaluation benches)
+#   perf    — step 10 only (the paired benchmark compare)
+#   all     — steps 0-9 (the default)
 #
 #  0. lint       — ruff over src/tests/benchmarks/scripts.  Missing ruff
 #                  is a warn-and-skip locally but a hard failure when
@@ -68,7 +69,12 @@
 #                  mid-campaign and restarted on the same data dir, and
 #                  both final summaries must be bit-identical to solo
 #                  run_rounds campaigns.
-#  9. perf       — leg `perf` only: scripts/perf_compare.py runs every
+#  9. paper      — the paper's evaluation suite (benchmarks/: Table 2/3,
+#                  E1-E4, A1/A2, R1-R3), 19 benches and 3 plain tests,
+#                  each with its shape asserts.  Timing stays on: the
+#                  throughput benches read `benchmark.stats`, which
+#                  --benchmark-disable leaves None.
+# 10. perf       — leg `perf` only: scripts/perf_compare.py runs every
 #                  BENCHMARK.json workload as five alternating pairs of
 #                  the commit $PERF_BASE (default HEAD) and the working
 #                  tree.  It fails a metric whose head median is worse
@@ -83,9 +89,9 @@ cd "$(dirname "$0")/.."
 
 LEG="${1:-all}"
 case "$LEG" in
-    lint|tests|smokes|perf|all) ;;
+    lint|tests|smokes|paper|perf|all) ;;
     *)
-        echo "usage: scripts/ci.sh [lint|tests|smokes|perf|all]" >&2
+        echo "usage: scripts/ci.sh [lint|tests|smokes|paper|perf|all]" >&2
         exit 2
         ;;
 esac
@@ -164,6 +170,11 @@ if [[ "$LEG" == "smokes" || "$LEG" == "all" ]]; then
 
     echo "== smoke: campaign service daemon SIGKILL + restart =="
     python scripts/smoke_service.py "$ARTIFACTS_DIR/smoke_service_data"
+fi
+
+if [[ "$LEG" == "paper" || "$LEG" == "all" ]]; then
+    echo "== paper: the evaluation benches and their shape asserts =="
+    python -m pytest benchmarks -q
 fi
 
 if [[ "$LEG" == "perf" ]]; then

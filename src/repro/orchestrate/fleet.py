@@ -267,7 +267,16 @@ class ResultEnvelope:
     def decode(self):
         """Return ``(outcomes, obs_buffer, pruned)``, the shape
         ``run_task_trials`` returns; the buffer is None when tracing was
-        off in the worker."""
+        off in the worker.
+
+        The first call decodes and later calls return the same objects,
+        so the coordinator can decode a result as it arrives
+        (:meth:`FleetCoordinator._decode_arrived`) and the campaign's
+        merge reads it for free.  The memo is not a field: equality,
+        ``repr`` and the JSON frame ignore it."""
+        decoded = self.__dict__.get("_decoded")
+        if decoded is not None:
+            return decoded
         _check_version(self.version, f"result envelope {self.task_id}")
         outcomes = [outcome_from_obj(o) for o in self.outcomes]
         buffer = None
@@ -277,7 +286,9 @@ class ResultEnvelope:
                 "trials": [list(chunk) for chunk in self.obs_trials],
                 "tail": list(self.obs_tail),
             }
-        return outcomes, buffer, self.pruned
+        decoded = (outcomes, buffer, self.pruned)
+        object.__setattr__(self, "_decoded", decoded)
+        return decoded
 
 
 @dataclass(frozen=True)
@@ -575,6 +586,7 @@ class FleetCoordinator:
         self._slots: List[_WorkerSlot] = []
         self._pending: List[TaskEnvelope] = []
         self._results: Dict[int, Any] = {}
+        self._arrived: List[ResultEnvelope] = []
         self._attempts: Dict[int, int] = {}
         self._envelope_by_id: Dict[int, TaskEnvelope] = {}
 
@@ -712,6 +724,7 @@ class FleetCoordinator:
         if msg.status == "ok":
             slot.stats.tasks_done += 1
             self._results[msg.task_id] = msg
+            self._arrived.append(msg)
             return
         # task_error: the worker survived; retry on any live worker.
         self._attempts[msg.task_id] = self._attempts.get(msg.task_id, 0) + 1
@@ -751,6 +764,19 @@ class FleetCoordinator:
             slot.lease = envelope
             slot.deadline = time.monotonic() + self.lease_timeout
             slot.handle.send(envelope)
+
+    def _decode_arrived(self) -> None:
+        """Decode the results that came in since the last hand-out.
+
+        Called right after :meth:`_assign`, so no idle worker waits on
+        it.  Decoding here rather than once :meth:`run` returns spreads
+        the work over the coordinator's idle waits: the 16 results of a
+        socket fleet take about 9 ms to decode, and a status reader in
+        the same process would wait out that burst at the fleet's end.
+        """
+        for result in self._arrived:
+            result.decode()
+        self._arrived.clear()
 
     def _drain(self, block: bool = True) -> None:
         """Process queued messages: one timed poll, then everything
@@ -811,9 +837,10 @@ class FleetCoordinator:
     def run(self, envelopes: Sequence[TaskEnvelope]) -> Dict[int, Any]:
         """Execute all envelopes; returns a result per task id.
 
-        Values are :class:`ResultEnvelope` (decode for outcomes) or
-        :class:`TaskFailure`.  The mapping always covers every input
-        task id, whatever died along the way.
+        Values are :class:`ResultEnvelope` (decode for outcomes; most
+        are decoded already, as they arrived) or :class:`TaskFailure`.
+        The mapping always covers every input task id, whatever died
+        along the way.
         """
         expected = [e.task_id for e in envelopes]
         if len(set(expected)) != len(expected):
@@ -836,6 +863,7 @@ class FleetCoordinator:
             try:
                 while len(self._results) < len(expected):
                     self._assign()
+                    self._decode_arrived()
                     self._drain()
                     self._reap()
                     if all(slot.handle is None for slot in self._slots):

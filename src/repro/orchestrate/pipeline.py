@@ -64,6 +64,30 @@ SCHEDULER_KINDS = ("snowboard", "ski", "random")
 FLEET_KINDS = ("processes", "sockets")
 
 
+def check_campaign_args(
+    strategy: str, scheduler_kind: str, fleet: Optional[str]
+) -> None:
+    """Raise ``ValueError`` for a campaign argument no engine accepts.
+
+    The campaign entry points call this before they open a journal or
+    start a fleet, so a rejected call leaves both untouched.
+    """
+    if strategy not in ALL_METHODS:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if scheduler_kind not in SCHEDULER_KINDS:
+        raise ValueError(f"unknown scheduler kind {scheduler_kind!r}")
+    if fleet is not None and fleet not in FLEET_KINDS:
+        raise ValueError(f"unknown fleet kind {fleet!r}")
+
+
+def round_growth(corpus_budget: int, corpus_growth: Optional[int]) -> int:
+    """Fuzzer executions per round after the first: ``corpus_growth``,
+    or half the corpus budget (at least one) when it is ``None``."""
+    if corpus_growth is not None:
+        return corpus_growth
+    return max(1, corpus_budget // 2)
+
+
 def derive_initial_state(kernel, snapshot, setup_program: Program):
     """Run a setup program from a snapshot and capture the new state.
 
@@ -534,7 +558,6 @@ class Snowboard:
         self,
         strategy: str = "S-INS-PAIR",
         limit: Optional[int] = None,
-        random_order: bool = False,
         rng: Optional[random.Random] = None,
         history: Optional[SelectionHistory] = None,
     ) -> Tuple[List[ConcurrentTest], int]:
@@ -555,11 +578,8 @@ class Snowboard:
             if self.obs.enabled:
                 self.obs.count("stage3.tests", len(tests))
             return tests, 0
-        if strategy == RANDOM_S_INS_PAIR:
-            clustering = STRATEGIES_BY_NAME["S-INS-PAIR"]
-            random_order = True
-        else:
-            clustering = STRATEGIES_BY_NAME[strategy]
+        random_order = strategy == RANDOM_S_INS_PAIR
+        clustering = STRATEGIES_BY_NAME["S-INS-PAIR" if random_order else strategy]
         pmcs = self.pmcset.all_pmcs()
         clusters = self.state.clusters(clustering, pmcs)
         exemplars = ordered_exemplars(
@@ -973,6 +993,7 @@ class Snowboard:
         ``checkpoint_fsync`` upgrades journal durability from process-kill
         to machine-crash (fsync per record).
         """
+        check_campaign_args(strategy, scheduler_kind, fleet)
         tests, nclusters = self.generate_tests(strategy, limit=test_budget)
         tests = tests[:test_budget]
         campaign = CampaignResult(
@@ -1034,8 +1055,6 @@ class Snowboard:
         tasks on a ``fleet`` of that many workers (``"processes"`` unless
         ``"sockets"`` is asked for); the choice never changes results.
         """
-        if fleet is not None and fleet not in FLEET_KINDS:
-            raise ValueError(f"unknown fleet kind {fleet!r}")
         todo = [
             (task_offset + local, test)
             for local, test in enumerate(tests)
@@ -1140,16 +1159,13 @@ class Snowboard:
         corpus, access index and tested-cluster history carry over, and
         round numbering resumes where the previous call stopped.
         """
+        check_campaign_args(strategy, scheduler_kind, fleet)
         if rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {rounds}")
         if round_budget < 1:
             raise ValueError(f"round_budget must be at least 1, got {round_budget}")
         self.prepare()
-        growth = (
-            corpus_growth
-            if corpus_growth is not None
-            else max(1, self.config.corpus_budget // 2)
-        )
+        growth = round_growth(self.config.corpus_budget, corpus_growth)
         campaign = CampaignResult(strategy=strategy, workers=max(1, workers))
         writer = None
         completed: frozenset = frozenset()

@@ -103,7 +103,12 @@ def _recv_exact(sock: socket.socket, nbytes: int) -> Optional[bytes]:
 
 
 def recv_frame(sock: socket.socket) -> Optional[Dict]:
-    """Read one frame; ``None`` on a clean EOF mid-boundary."""
+    """Read one frame; ``None`` on a clean EOF mid-boundary.
+
+    A payload that is not a JSON object (undecodable, nested past the
+    decoder's depth, or a list, string or number) raises
+    :class:`WireFormatError`.
+    """
     header = _recv_exact(sock, _LEN.size)
     if header is None:
         return None
@@ -115,7 +120,13 @@ def recv_frame(sock: socket.socket) -> Optional[Dict]:
     data = _recv_exact(sock, length)
     if data is None:
         return None
-    return json.loads(data.decode("utf-8"))
+    try:
+        frame = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise WireFormatError(f"undecodable frame: {error}") from None
+    if not isinstance(frame, dict):
+        raise WireFormatError(f"frame holds a {type(frame).__name__}, not an object")
+    return frame
 
 
 # -- JSON codecs for the envelopes -------------------------------------------------

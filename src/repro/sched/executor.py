@@ -85,9 +85,12 @@ def run_program(
     mid-program: execution resumes at call index ``start_call`` with the
     return values of the completed calls pre-seeded (``Res`` argument
     references resolve against them exactly as in a from-scratch run).
+    The list is also ``ctx.results``: while a call runs, its length is
+    that call's index and its items the returns of the calls before it.
     """
     if results is None:
         results = []
+    ctx.results = results
     for call in program.calls[start_call:]:
         ctx.reset_stack()
         args = tuple(resolve_arg(arg, results) for arg in call.args)
@@ -177,6 +180,7 @@ class Executor:
         race_detector=None,
         replay_switch_points: Optional[Sequence[int]] = None,
         resume_from: Optional[ResumeState] = None,
+        replay_log: Optional[list] = None,
     ) -> ExecutionResult:
         """Run two (or more) programs as concurrent kernel threads.
 
@@ -184,6 +188,14 @@ class Executor:
         result) the schedule is replayed exactly: the scheduler and the
         liveness heuristics are bypassed and switches happen at precisely
         the recorded instruction indexes, reproducing the execution.
+        ``replay_log`` then receives one tuple per op the run completed,
+        taken right after it: ``(thread index, op, value sent back into
+        the coroutine, post-op liveness stuck flag, RCU read depth, the
+        thread's ``ctx.results``, its length, seq, trace rows,
+        instruction count)``.  An op that faults or panics ends the run
+        unlogged.  With no switch points this is the schedule trie's
+        root (:mod:`repro.sched.prefixfork`): each thread runs alone to
+        its end, as nothing can force a switch in replay mode.
 
         With ``resume_from`` the run starts at a memoized first switch
         point instead of the boot snapshot: thread 0's coroutine, the
@@ -204,6 +216,7 @@ class Executor:
             race_detector=race_detector,
             replay_switch_points=replay_switch_points,
             resume=resume_from,
+            replay_log=replay_log,
         )
 
     # -- the interpreter loop ----------------------------------------------------
@@ -216,6 +229,7 @@ class Executor:
         race_detector=None,
         replay_switch_points: Optional[Sequence[int]] = None,
         resume: Optional[ResumeState] = None,
+        replay_log: Optional[list] = None,
     ) -> ExecutionResult:
         replay = set(replay_switch_points) if replay_switch_points is not None else None
         result = ExecutionResult()
@@ -418,6 +432,13 @@ class Executor:
                 # Replay mode: the recorded switch points fully determine
                 # the schedule; scheduler and liveness are bypassed.
                 switch = ninstr in replay
+                if replay_log is not None:
+                    results = thread.ctx.results
+                    replay_log.append((
+                        thread.index, op, thread.pending, is_stuck(thread.index),
+                        thread.rcu_depth, results, len(results), seq, len(trace),
+                        ninstr,
+                    ))
             elif is_stuck(thread.index):
                 # Liveness: force a switch away from a stuck thread; when
                 # every runnable thread is sticky-stuck, the system is

@@ -20,10 +20,12 @@ recorded path resumes the executor at the first-switch fork behind a
 shim that hands back the answers the walk already drew, and the steps
 the resumed run records are grafted on as a new branch.
 
-Bit-identity with the from-boot path is the contract; the recorder
-below replicates the executor's per-op semantics exactly, including the
-page-fault sequence-number quirks and the liveness stuck checks that
-force switches independently of the scheduler.
+Bit-identity with the from-boot path is the contract, so the root is
+recorded by the executor itself: its replay of the pair with no switch
+points runs the writer alone to its end, then the reader, and logs each
+op's coroutine value, post-op liveness stuck flag, RCU depth, call
+position, counters and trace rows.  Trials and the recording they stand
+in for share one interpreter loop.
 
 The second layer, commuting-schedule pruning (``--prune-commuting``),
 is a partial-order reduction over the same recording: candidate switch
@@ -41,10 +43,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.detect.datarace import RaceDetector
-from repro.fuzz.prog import Program, resolve_arg
-from repro.kernel.ops import CasOp, MemOp, PanicOp, PauseOp, PrintkOp, SyncOp
-from repro.machine.accesses import AccessTrace, AccessType, MemoryAccess
-from repro.machine.memory import PageFault
+from repro.fuzz.prog import Program
+from repro.kernel.ops import CasOp, MemOp, PauseOp, PrintkOp, SyncOp
+from repro.machine.accesses import MemoryAccess
 from repro.machine.snapshot import ForkSnapshot
 from repro.sched.executor import (
     ExecutionResult,
@@ -66,10 +67,11 @@ PRUNE_EXTRA = 2
 
 
 class _Event:
-    """One recorded solo-execution op, mirroring the executor loop."""
+    """One op of the recording run: the executor's log entry for it
+    (:meth:`~repro.sched.executor.Executor.run_concurrent`), and the
+    trace rows it added as record objects."""
 
     __slots__ = (
-        "ninstr",
         "thread",
         "accesses",
         "atomic",
@@ -78,65 +80,63 @@ class _Event:
         "printk",
         "pause",
         "stuck",
-        "terminal",
+        "rcu_after",
+        "results",
         "call_index",
         "seq_after",
         "rows_after",
-        "rcu_after",
+        "ninstr",
     )
 
-    def __init__(
-        self,
-        ninstr: int,
-        thread: int,
-        accesses: Tuple[MemoryAccess, ...],
-        atomic: bool,
-        pending,
-        sync,
-        printk: Optional[str],
-        pause: bool,
-        stuck: bool,
-        terminal: bool,
-        call_index: Optional[int],
-        seq_after: int,
-        rows_after: int,
-        rcu_after: int,
-    ):
-        self.ninstr = ninstr
-        self.thread = thread
-        self.accesses = accesses
-        self.atomic = atomic
-        self.pending = pending
-        self.sync = sync
-        self.printk = printk
-        self.pause = pause
-        self.stuck = stuck
-        self.terminal = terminal
-        self.call_index = call_index
-        self.seq_after = seq_after
-        self.rows_after = rows_after
-        self.rcu_after = rcu_after
+    def __init__(self, entry: tuple, trace, rows_before: int):
+        (
+            self.thread,
+            op,
+            self.pending,
+            self.stuck,
+            self.rcu_after,
+            self.results,
+            self.call_index,
+            self.seq_after,
+            self.rows_after,
+            self.ninstr,
+        ) = entry
+        cls = op.__class__
+        self.accesses: Tuple[MemoryAccess, ...] = tuple(
+            trace[rows_before : self.rows_after]
+        )
+        self.atomic = cls is CasOp or (cls is MemOp and op.atomic)
+        self.sync = op if cls is SyncOp else None
+        self.printk = op.message if cls is PrintkOp else None
+        self.pause = cls is PauseOp
 
 
 class PrefixRecording:
-    """The writer's (and, when it completes, the reader's) solo run."""
+    """The trie's root: the executor's replay of the pair with no switch
+    points, which runs the writer alone to its end, then the reader."""
 
-    def __init__(self) -> None:
+    def __init__(self, executor: Executor, writer: Program, reader: Program):
+        log: List[tuple] = []
+        self.result = result = executor.run_concurrent(
+            [writer, reader], replay_switch_points=(), replay_log=log
+        )
+        trace = result.accesses
         self.events: List[_Event] = []
         # Number of events belonging to the writer's solo portion.
         self.t0_events = 0
+        # Per writer call with ops: the index of its first event.
+        self.call_starts: Dict[int, int] = {}
+        rows = 0
+        for entry in log:
+            ev = _Event(entry, trace, rows)
+            rows = ev.rows_after
+            if ev.thread == 0:
+                self.call_starts.setdefault(ev.call_index, self.t0_events)
+                self.t0_events += 1
+            self.events.append(ev)
         # True when the writer ran to completion (so the reader portion
         # was recorded and the no-switch result is fully known).
-        self.t0_completed = False
-        # Per writer call: (event index at call start, results before).
-        self.call_starts: List[Tuple[int, Tuple]] = []
-        self.trace = AccessTrace()
-        self.console_lines: List[str] = []
-        self.returns: List[List[int]] = [[], []]
-        self.panicked = False
-        self.panic_message = ""
-        self.budget_exceeded = False
-        self.total_ninstr = 0
+        self.t0_completed = len(result.returns[0]) == len(writer.calls)
 
 
 @dataclass
@@ -148,9 +148,6 @@ class _ForkState:
     snapshot: ForkSnapshot
     liveness: LivenessMonitor
     detector: RaceDetector
-    call_index: int
-    call_event: int
-    call_results: Tuple
 
 
 class Served(enum.IntEnum):
@@ -354,8 +351,8 @@ class PrefixMemo:
             kernel,
             ctx,
             self.writer,
-            start_call=state.call_index,
-            results=list(state.call_results),
+            start_call=ev.call_index,
+            results=list(ev.results[: ev.call_index]),
         )
         # Fast-forward the coroutine to the switch op: sends replay the
         # recorded op results without touching memory (all machine
@@ -363,7 +360,7 @@ class PrefixMemo:
         # pointer moves, deterministically).
         gen.send(None)
         events = rec.events
-        for i in range(state.call_event, m):
+        for i in range(rec.call_starts[ev.call_index], m):
             gen.send(events[i].pending)
         resume = ResumeState(
             snapshot=state.snapshot,
@@ -376,7 +373,7 @@ class PrefixMemo:
             stuck0=ev.stuck,
             seq=ev.seq_after,
             ninstr=ev.ninstr,
-            trace=rec.trace,
+            trace=rec.result.accesses,
             trace_rows=ev.rows_after,
             steps=steps,
         )
@@ -388,19 +385,11 @@ class PrefixMemo:
         )
 
     def _no_switch_result(self, rec: PrefixRecording) -> ExecutionResult:
-        """The root's leaf: the solo runs back to back, races replayed."""
+        """The root's leaf: the recording run, races replayed."""
         detector = RaceDetector()
         self._replay_detector(detector, rec.events, len(rec.events))
-        result = ExecutionResult()
-        result.accesses = rec.trace
-        result.console = rec.console_lines
-        result.returns = rec.returns
-        result.panicked = rec.panicked
-        result.panic_message = rec.panic_message
-        result.budget_exceeded = rec.budget_exceeded
-        result.instructions = rec.total_ninstr
-        result.races = detector.reports()
-        return result
+        rec.result.races = detector.reports()
+        return rec.result
 
     def _build_fork_state(self, m: int, rec: PrefixRecording) -> _ForkState:
         """Capture the machine/bookkeeping state right after event ``m``."""
@@ -429,16 +418,8 @@ class PrefixMemo:
                 liveness.note_pause(0)
         detector = RaceDetector()
         self._replay_detector(detector, events, m + 1)
-        call_index = events[m].call_index
-        call_event, call_results = rec.call_starts[call_index]
         return _ForkState(
-            event=m,
-            snapshot=snapshot,
-            liveness=liveness,
-            detector=detector,
-            call_index=call_index,
-            call_event=call_event,
-            call_results=call_results,
+            event=m, snapshot=snapshot, liveness=liveness, detector=detector
         )
 
     @staticmethod
@@ -456,11 +437,11 @@ class PrefixMemo:
                 if not access.is_stack:
                     on_access(access, atomic=atomic)
 
-    # -- the prefix recorder ------------------------------------------------
+    # -- the root ------------------------------------------------------------
 
     def _ensure_recorded(self) -> PrefixRecording:
         if self._rec is None:
-            self._rec = rec = self._record()
+            self._rec = rec = PrefixRecording(self.executor, self.writer, self.reader)
             # The trie's root: one step per recorded event, so a branch
             # key is the event a trial first switches after.  Only the
             # writer's solo events can switch; the reader's come after
@@ -478,229 +459,6 @@ class PrefixMemo:
                     break  # every trial has switched by here
             self._root = _Node(steps)
         return self._rec
-
-    def _record(self) -> PrefixRecording:
-        """Run the writer (then the reader) solo, recording every op.
-
-        The loop replicates the executor's per-op semantics exactly —
-        same instruction/sequence counting, same page-fault messages,
-        same liveness pushes — but additionally records, per op, the
-        value the executor would send back into the coroutine and the
-        post-op stuck flag, which is everything trial simulation and
-        coroutine fast-forward need.
-        """
-        executor = self.executor
-        kernel = executor.kernel
-        machine = kernel.machine
-        memory = machine.memory
-        rec = PrefixRecording()
-        executor.snapshot.restore(machine)
-        liveness = LivenessMonitor(2)
-        max_instructions = executor.max_instructions
-        events = rec.events
-        trace = rec.trace
-        console = rec.console_lines
-        READ = AccessType.READ
-        state = {"ninstr": 0, "seq": 0}
-
-        def terminal_event(tindex, call_index, rcu_depth):
-            events.append(
-                _Event(
-                    ninstr=state["ninstr"],
-                    thread=tindex,
-                    accesses=(),
-                    atomic=False,
-                    pending=None,
-                    sync=None,
-                    printk=None,
-                    pause=False,
-                    stuck=False,
-                    terminal=True,
-                    call_index=call_index,
-                    seq_after=state["seq"],
-                    rows_after=len(trace),
-                    rcu_after=rcu_depth,
-                )
-            )
-
-        def page_fault(fault, ins):
-            scratch = ExecutionResult()
-            executor._page_fault_panic(fault, ins, scratch)
-            rec.panicked = True
-            rec.panic_message = scratch.panic_message
-            console.append(scratch.panic_message)
-            console.append("Kernel panic - not syncing: Fatal exception")
-
-        def run_thread(tindex: int, program: Program, record_calls: bool):
-            """Returns the program's results, or None on a terminal stop."""
-            ctx = kernel.make_context(thread=tindex, proc_index=tindex)
-            results: List[int] = []
-            rcu_depth = 0
-            for ci, call in enumerate(program.calls):
-                if record_calls:
-                    rec.call_starts.append((len(events), tuple(results)))
-                ctx.reset_stack()
-                args = tuple(resolve_arg(arg, results) for arg in call.args)
-                gen = kernel.run_syscall(ctx, call.name, args)
-                pending = None
-                while True:
-                    if state["ninstr"] >= max_instructions:
-                        rec.budget_exceeded = True
-                        return None
-                    try:
-                        op = gen.send(pending)
-                    except StopIteration as stop:
-                        results.append(stop.value)
-                        break
-                    pending = None
-                    state["ninstr"] += 1
-                    cls = op.__class__
-                    accesses: Tuple[MemoryAccess, ...] = ()
-                    atomic = False
-                    sync = None
-                    printk = None
-                    pause = False
-                    if cls is MemOp:
-                        addr = op.addr
-                        size = op.size
-                        ins = op.ins
-                        try:
-                            if op.type is READ:
-                                value = memory.read_int(addr, size)
-                                pending = value
-                            else:
-                                value = op.value
-                                memory.write_int(addr, size, value)
-                        except PageFault as fault:
-                            page_fault(fault, ins)
-                            terminal_event(
-                                tindex, ci if record_calls else None, rcu_depth
-                            )
-                            return None
-                        access = MemoryAccess(
-                            seq=state["seq"],
-                            thread=tindex,
-                            type=op.type,
-                            addr=addr,
-                            size=size,
-                            value=value,
-                            ins=ins,
-                            is_stack=machine.in_stack(tindex, addr, size),
-                        )
-                        trace.append(access)
-                        liveness.note_access(tindex, ins, addr)
-                        accesses = (access,)
-                        atomic = op.atomic
-                        state["seq"] += 1
-                    elif cls is CasOp:
-                        try:
-                            old = memory.read_int(op.addr, op.size)
-                            swapped = old == op.expected
-                            if swapped:
-                                memory.write_int(op.addr, op.size, op.new)
-                        except PageFault as fault:
-                            # The executor bumps seq by 2 even on a
-                            # faulting CAS (before noticing the panic).
-                            state["seq"] += 2
-                            page_fault(fault, op.ins)
-                            terminal_event(
-                                tindex, ci if record_calls else None, rcu_depth
-                            )
-                            return None
-                        pending = old
-                        is_stack = machine.in_stack(tindex, op.addr, op.size)
-                        read = MemoryAccess(
-                            seq=state["seq"],
-                            thread=tindex,
-                            type=AccessType.READ,
-                            addr=op.addr,
-                            size=op.size,
-                            value=old,
-                            ins=op.ins,
-                            is_stack=is_stack,
-                        )
-                        trace.append(read)
-                        if swapped:
-                            write = MemoryAccess(
-                                seq=state["seq"] + 1,
-                                thread=tindex,
-                                type=AccessType.WRITE,
-                                addr=op.addr,
-                                size=op.size,
-                                value=op.new,
-                                ins=op.ins,
-                                is_stack=is_stack,
-                            )
-                            trace.append(write)
-                            accesses = (read, write)
-                        else:
-                            accesses = (read,)
-                        liveness.note_access(tindex, op.ins, op.addr)
-                        atomic = True
-                        state["seq"] += 2
-                    elif cls is SyncOp:
-                        if op.kind == "rcu_read_lock":
-                            rcu_depth += 1
-                        elif op.kind == "rcu_read_unlock":
-                            rcu_depth = max(0, rcu_depth - 1)
-                        elif op.kind == "rcu_synchronize":
-                            # Solo runs: the other thread is either not
-                            # started (rcu depth 0) or already done.
-                            pending = True
-                        sync = op
-                    elif cls is PrintkOp:
-                        machine.printk(op.message)
-                        console.append(op.message)
-                        printk = op.message
-                    elif cls is PanicOp:
-                        scratch = ExecutionResult()
-                        executor._panic(op.message, scratch)
-                        rec.panicked = True
-                        rec.panic_message = scratch.panic_message
-                        console.append(scratch.panic_message)
-                        console.append(
-                            "Kernel panic - not syncing: Fatal exception"
-                        )
-                        terminal_event(
-                            tindex, ci if record_calls else None, rcu_depth
-                        )
-                        return None
-                    elif cls is PauseOp:
-                        liveness.note_pause(tindex)
-                        pause = True
-                    else:  # pragma: no cover - defensive
-                        raise TypeError(f"unknown kernel op {op!r}")
-                    events.append(
-                        _Event(
-                            ninstr=state["ninstr"],
-                            thread=tindex,
-                            accesses=accesses,
-                            atomic=atomic,
-                            pending=pending,
-                            sync=sync,
-                            printk=printk,
-                            pause=pause,
-                            stuck=liveness.is_stuck(tindex),
-                            terminal=False,
-                            call_index=ci if record_calls else None,
-                            seq_after=state["seq"],
-                            rows_after=len(trace),
-                            rcu_after=rcu_depth,
-                        )
-                    )
-            liveness.note_progress(tindex)
-            return results
-
-        t0_results = run_thread(0, self.writer, record_calls=True)
-        rec.t0_events = len(events)
-        rec.t0_completed = t0_results is not None
-        if t0_results is not None:
-            rec.returns[0] = t0_results
-            t1_results = run_thread(1, self.reader, record_calls=False)
-            if t1_results is not None:
-                rec.returns[1] = t1_results
-        rec.total_ninstr = state["ninstr"]
-        return rec
 
     # -- commuting-schedule analysis ----------------------------------------
 

@@ -24,10 +24,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Optional
 
 from repro.orchestrate.pipeline import (
-    ALL_METHODS,
-    FLEET_KINDS,
-    SCHEDULER_KINDS,
     SnowboardConfig,
+    check_campaign_args,
+    round_growth,
 )
 
 # -- lifecycle states --------------------------------------------------------------
@@ -121,15 +120,9 @@ class JobSpec:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.fleet is not None:
-            if self.fleet not in FLEET_KINDS:
-                raise ValueError(f"unknown fleet kind {self.fleet!r}")
-            if self.workers <= 1:
-                raise ValueError(f"fleet {self.fleet!r} requires workers > 1")
-        if self.strategy not in ALL_METHODS:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.scheduler_kind not in SCHEDULER_KINDS:
-            raise ValueError(f"unknown scheduler kind {self.scheduler_kind!r}")
+        check_campaign_args(self.strategy, self.scheduler_kind, self.fleet)
+        if self.fleet is not None and self.workers <= 1:
+            raise ValueError(f"fleet {self.fleet!r} requires workers > 1")
         for name in ("lease_timeout", "heartbeat_interval", "heartbeat_timeout"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -162,13 +155,11 @@ class JobSpec:
     def growth(self) -> int:
         """The resolved per-round corpus growth.
 
-        Matches :meth:`run_rounds`' own default so a job stepped one
-        round at a time and a solo ``run_rounds(spec.rounds)`` draw the
-        same fuzzing streams.
+        :func:`round_growth` is :meth:`run_rounds`' own rule, so a job
+        stepped one round at a time and a solo ``run_rounds(spec.rounds)``
+        draw the same fuzzing streams.
         """
-        if self.corpus_growth is not None:
-            return self.corpus_growth
-        return max(1, self.corpus_budget // 2)
+        return round_growth(self.corpus_budget, self.corpus_growth)
 
     def to_obj(self) -> Dict:
         return asdict(self)

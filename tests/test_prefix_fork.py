@@ -772,3 +772,120 @@ class TestScheduleCounters:
             new_schedule=True,
         )
         assert outcome_from_obj(outcome_to_obj(outcome)) == outcome
+
+
+# -- a fork at every position of the recorded root ----------------------------
+
+
+class Shown(Scripted):
+    """:class:`Scripted` that logs each trial's shown accesses in full."""
+
+    def begin_trial(self, trial):
+        super().begin_trial(trial)
+        self.log = []
+
+    def on_access(self, access):
+        self.calls += 1
+        self.log.append(
+            (
+                access.seq,
+                access.thread,
+                access.type,
+                access.addr,
+                access.size,
+                access.value,
+                access.ins,
+                access.is_stack,
+            )
+        )
+        return self.calls in self.plan
+
+
+# A generated pair can run thousands of scheduler calls; forking at the
+# first 150 of each keeps the whole class to seconds.
+FORK_CALL_CAP = 150
+
+
+def assert_every_fork_invisible(executor, writer, reader):
+    """One memo; for every scheduler call ``j`` of the pair's no-switch
+    run, trials switching at ``{j}`` and at ``{j, j + 3}`` equal their
+    from-boot runs.  Returns how many trials were checked."""
+    probe = Shown([set()])
+    probe.begin_trial(0)
+    executor.run_concurrent(
+        [writer, reader], scheduler=probe, race_detector=RaceDetector()
+    )
+    calls = min(probe.calls, FORK_CALL_CAP)
+    plans = [plan for j in range(1, calls + 1) for plan in ({j}, {j, j + 3})]
+    assert plans, "the pair must consult the scheduler"
+    assert_trie_invisible(
+        executor, writer, reader, lambda: Shown(plans), trials=len(plans)
+    )
+    return len(plans)
+
+
+@pytest.fixture(scope="module")
+def rcu_toy():
+    """A kernel with an RCU read-side section against synchronize_rcu;
+    both syscalls return the flag they read, so earlier call results
+    show in the returns."""
+    from repro.kernel import sync
+
+    kernel, _ = boot_kernel()
+    flag = kernel.static_alloc("memo_rcu_flag", 4)
+
+    def sys_rcu_hold(ctx):
+        yield from sync.rcu_read_lock(ctx)
+        first = yield from ctx.load(flag, 4)
+        second = yield from ctx.load(flag, 4)
+        yield from sync.rcu_read_unlock(ctx)
+        return 10 + first + second
+
+    def sys_rcu_sync(ctx):
+        seen = yield from ctx.load(flag, 4)
+        yield from ctx.store(flag, 4, seen + 1)
+        yield from sync.synchronize_rcu(ctx)
+        after = yield from ctx.load(flag, 4)
+        return 20 + after
+
+    kernel.register_syscall("memo_rcu_hold", sys_rcu_hold)
+    kernel.register_syscall("memo_rcu_sync", sys_rcu_sync)
+    return kernel, Snapshot.capture(kernel.machine)
+
+
+class TestForkAtEveryPosition:
+    def test_l2tp_pair(self, env):
+        executor, writer, reader, *_ = env
+        assert_every_fork_invisible(executor, writer, reader)
+
+    @pytest.mark.parametrize(
+        "writer, reader",
+        [
+            ("memo_set_flag", "memo_bug_if_flag"),
+            ("memo_ab", "memo_ba"),
+            ("memo_set_flag", "memo_wait_flag"),
+            ("memo_wait_flag", "memo_set_flag"),
+        ],
+    )
+    def test_toy_pairs(self, toy, writer, reader):
+        kernel, snapshot = toy
+        executor = Executor(kernel, snapshot, max_instructions=500)
+        assert_every_fork_invisible(executor, toy_prog(writer), toy_prog(reader))
+
+    @pytest.mark.parametrize(
+        "writer, reader",
+        [("memo_rcu_hold", "memo_rcu_sync"), ("memo_rcu_sync", "memo_rcu_hold")],
+    )
+    def test_rcu_pair(self, rcu_toy, writer, reader):
+        """A fork inside the writer's read-side section resumes its RCU
+        depth, one past its synchronize_rcu resumes the answer it got,
+        and one in its second call resumes the first call's result."""
+        kernel, snapshot = rcu_toy
+        executor = Executor(kernel, snapshot, max_instructions=500)
+        writer_prog = prog(Call(writer, ()), Call(writer, ()))
+        assert_every_fork_invisible(executor, writer_prog, toy_prog(reader))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generated_pairs(self, env, seed):
+        executor, *_ = env
+        assert_every_fork_invisible(executor, *generated_pair(seed))

@@ -9,12 +9,17 @@ handshake and framing paths of ``--fleet sockets``).
 
 from __future__ import annotations
 
+import json
 import queue as stdqueue
 import socket
+import struct
+import threading
 import time
 from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.orchestrate.fleet import (
     WIRE_VERSION,
@@ -484,6 +489,49 @@ class TestTaskErrors:
         assert coordinator.worker_stats[0].retries == 1
 
 
+class TestDecodeOnArrival:
+    def test_each_result_decodes_once_after_the_next_hand_out(self, monkeypatch):
+        """The coordinator decodes a result once the idle worker has its
+        next task, not every result after the fleet ends, and the
+        caller's ``decode()`` reuses that work: only the last result,
+        which ends the loop, is decoded afterwards."""
+        import repro.orchestrate.fleet as fleet
+
+        log: List[tuple] = []
+
+        def outcome_from_obj(obj):
+            log.append(("decode", obj["task"]))
+            return obj
+
+        def on_task(handle, envelope):
+            log.append(("send", envelope.task_id))
+            handle.emit(
+                ResultEnvelope(
+                    task_id=envelope.task_id,
+                    worker_id=handle.worker_id,
+                    status="ok",
+                    outcomes=({"task": envelope.task_id},),
+                    generation=handle.generation,
+                )
+            )
+
+        monkeypatch.setattr(fleet, "outcome_from_obj", outcome_from_obj)
+        transport = StubTransport([{"on_spawn": hello, "on_task": on_task}])
+        results = make_coordinator(transport).run([make_envelope(i) for i in range(3)])
+        assert log == [
+            ("send", 0),
+            ("send", 1),
+            ("decode", 0),
+            ("send", 2),
+            ("decode", 1),
+        ]
+        for task_id in range(3):
+            outcomes, buffer, pruned = results[task_id].decode()
+            assert outcomes == [{"task": task_id}]
+            assert results[task_id].decode()[0] is outcomes
+        assert log[5:] == [("decode", 2)]
+
+
 # -- socket framing ----------------------------------------------------------------
 
 
@@ -627,3 +675,96 @@ class TestSocketHandshake:
             assert welcome2["generation"] == 2
         finally:
             sock2.close()
+
+
+# -- frames that are not JSON objects ----------------------------------------------
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def raw_frame(payload: bytes) -> bytes:
+    """``payload`` behind the wire's 4-byte big-endian length prefix."""
+    return struct.pack(">I", len(payload)) + payload
+
+
+def recv_raw(payload: bytes):
+    """recv_frame over a socketpair carrying one raw frame."""
+    a, b = socket.socketpair()
+    try:
+        a.sendall(raw_frame(payload))
+        a.close()
+        return recv_frame(b)
+    finally:
+        b.close()
+
+
+class TestFrameRejection:
+    """Every payload is an object, a clean EOF or a WireFormatError."""
+
+    @given(payload=st.binary(max_size=256))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, payload):
+        try:
+            frame = recv_raw(payload)
+        except WireFormatError:
+            return
+        assert frame is None or isinstance(frame, dict)
+
+    @given(value=_JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_json_values(self, value):
+        payload = json.dumps(value).encode("utf-8")
+        if isinstance(value, dict):
+            assert recv_raw(payload) == value
+        else:
+            with pytest.raises(WireFormatError, match="not an object"):
+                recv_raw(payload)
+
+    def test_nesting_past_the_decoder_depth(self):
+        with pytest.raises(WireFormatError, match="undecodable"):
+            recv_raw(b"[" * 5000 + b"]" * 5000)
+
+    @pytest.fixture()
+    def live(self):
+        transport = SocketTransport(
+            WorkerSpec(config=SnowboardConfig(seed=3), heartbeat_interval=0.2),
+            token="sesame",
+            spawn_workers=False,
+            handshake_timeout=5.0,
+        )
+        transport.spawn(0, 1)
+        yield transport
+        transport.close()
+
+    def test_deep_hello_gets_a_malformed_reject(self, live):
+        depth = 100_000
+        with socket.create_connection((live.host, live.port), timeout=5.0) as sock:
+            sock.sendall(raw_frame(b"[" * depth + b"]" * depth))
+            reply = recv_frame(sock)
+        assert reply["kind"] == "reject"
+        assert reply["code"] == "malformed"
+
+    def test_non_object_frame_leaves_no_thread_exception(self, live, monkeypatch):
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        sock, _ = connect_worker(live.host, live.port, "sesame")
+        try:
+            assert live.recv(timeout=1.0) == HeartbeatEnvelope(0, 1)
+            sock.sendall(raw_frame(b"[1, 2, 3]"))
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                t.name.endswith("(_reader)") for t in threading.enumerate()
+            ):
+                time.sleep(0.01)
+        finally:
+            sock.close()
+        assert not raised, [args.exc_value for args in raised]
